@@ -25,7 +25,6 @@ from .circuits import (
 )
 from .cnf import WeightedCnf
 from .counting import (
-    CountCancelledError,
     CountResult,
     CountStats,
     ResourceLimitError,
@@ -52,7 +51,6 @@ from .encoder import (
     NonNativeGateError,
     PauliTerm,
     assemble_check,
-    build_check_formula,
     encode_circuit,
     pauli_x,
     pauli_z,
@@ -92,7 +90,6 @@ __all__ = [
     "parse_qasm",
     "to_qasm",
     "WeightedCnf",
-    "CountCancelledError",
     "CountResult",
     "CountStats",
     "ResourceLimitError",
@@ -119,7 +116,6 @@ __all__ = [
     "NonNativeGateError",
     "PauliTerm",
     "assemble_check",
-    "build_check_formula",
     "encode_circuit",
     "pauli_x",
     "pauli_z",

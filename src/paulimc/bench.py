@@ -1,4 +1,4 @@
-"""Random circuit generation, error injection, and the benchmark loop.
+"""Random circuit generation and error injection.
 
 The generator draws gates i.i.d. with the Clifford+T mix
 P(CX)=0.10, P(H)=0.35, P(S)=0.35, P(T)=0.20; the universal variant trades
@@ -18,13 +18,9 @@ to the input circuit as a matrix (not merely up to phase).
 
 from __future__ import annotations
 
-import csv
 import random
-import time
-from dataclasses import dataclass
 
-from .circuits import Circuit, Gate, ROTATION_KINDS, adjoint, gate
-from .driver import CheckConfig, check_equivalence
+from .circuits import Circuit, Gate, ROTATION_KINDS, adjoint
 
 DEFAULT_DELTA = 1e-4
 
@@ -157,76 +153,3 @@ def equivalent_variant(
                 gates[i], gates[i + 1] = b, a
                 break
     return Circuit(n, tuple(gates))
-
-
-@dataclass
-class BenchRow:
-    case: str
-    n: int
-    num_gates: int
-    verdict: str
-    seconds: float
-
-
-def run_protocol(
-    num_qubits: int,
-    num_gates: int,
-    cases: int,
-    seed: int,
-    *,
-    universal: bool = False,
-    delta: float = DEFAULT_DELTA,
-    config: CheckConfig | None = None,
-) -> list[BenchRow]:
-    """Alternate equivalent-by-construction pairs with the error kinds the
-    generator can express (phase_shift needs rotation gates, so it only
-    appears in universal runs); one row per case.  Cases whose error kind
-    has no eligible gate — e.g. flip_cnot on a draw without any cx — are
-    regenerated from the next derived seed, so the row count is always
-    exactly `cases`."""
-    generator = gen_random_universal if universal else gen_random_clifford_t
-    kinds = ("equivalent",) + (
-        ERROR_KINDS if universal else tuple(
-            k for k in ERROR_KINDS if k != "phase_shift"
-        )
-    )
-    rows = []
-    for i in range(cases):
-        case_kind = kinds[i % len(kinds)]
-        attempt = 0
-        while True:
-            case_seed = seed + 1000 * i + attempt
-            u = generator(num_qubits, num_gates, case_seed)
-            try:
-                if case_kind == "equivalent":
-                    v = equivalent_variant(u, case_seed + 1)
-                else:
-                    v = inject_error(u, case_kind, case_seed + 1, delta=delta)
-                break
-            except NoEligibleGateError:
-                attempt += 1
-                if attempt > 50:
-                    raise
-        t0 = time.perf_counter()
-        verdict = check_equivalence(u, v, config)
-        rows.append(
-            BenchRow(
-                case=case_kind,
-                n=num_qubits,
-                num_gates=len(u.gates),
-                verdict=verdict.status,
-                seconds=time.perf_counter() - t0,
-            )
-        )
-    return rows
-
-
-def write_csv(rows: list[BenchRow], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["case", "n", "gates", "verdict", "seconds"])
-        for row in rows:
-            writer.writerow(
-                [row.case, row.n, row.num_gates, row.verdict,
-                 f"{row.seconds:.4f}"]
-            )

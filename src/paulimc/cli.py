@@ -5,11 +5,13 @@ Subcommands:
   count   <file.cnf>          weighted model count of a DIMACS file
   encode  <u.qasm> <v.qasm>   write the 2n check formulas as DIMACS
   oracle check <u> <v>        dense-matrix verdict (small circuits only)
-  bench   gen|inject|run      random circuits, error injection, protocol CSV
+  bench   gen|inject          random circuits and error injection
 
 Exit codes: 0 equivalent (or command succeeded), 1 not equivalent,
-2 unknown/timeout, 3 usage or input errors.  All failures print a single
-`error: <code>: <detail>` line on stderr.
+2 unknown/timeout, 3 usage, input or internal errors.  All failures print
+a single `error: <code>: <detail>` line on stderr; an unexpected exception
+is reported as `error: internal: <ExceptionType>: <detail>`, so a crash can
+never be read as a verdict.
 """
 
 from __future__ import annotations
@@ -110,7 +112,7 @@ def _print_verdict(v: Verdict) -> None:
         w = v.witness
         print(f"witness: {w.pauli}{w.qubit} value={_format_value(w.value)}")
     for c in v.checks:
-        if c.status not in ("one", "cancelled"):
+        if c.status != "one":
             if c.status == "mismatch":
                 print(
                     f"check: {c.pauli}{c.qubit} status=mismatch "
@@ -131,9 +133,7 @@ def _write_check_files(enc, out_dir: Path) -> list[Path]:
     return written
 
 
-def _identity_encoding(u_path: str, v_path: str):
-    u = _load_circuit(u_path)
-    v = _load_circuit(v_path)
+def _identity_encoding(u, v):
     if u.num_qubits != v.num_qubits:
         raise QubitCountMismatchError(
             f"{u.num_qubits}-qubit circuit vs {v.num_qubits}-qubit circuit"
@@ -145,12 +145,10 @@ def _identity_encoding(u_path: str, v_path: str):
 def _cmd_check(args) -> int:
     u = _load_circuit(args.u)
     v = _load_circuit(args.v)
-    config = CheckConfig(
-        epsilon=args.epsilon, count_timeout=args.timeout, jobs=args.jobs
-    )
+    config = CheckConfig(epsilon=args.epsilon, count_timeout=args.timeout)
     verdict = check_equivalence(u, v, config)
     if args.emit_dimacs is not None:
-        enc = _identity_encoding(args.u, args.v)
+        enc = _identity_encoding(u, v)
         written = _write_check_files(enc, Path(args.emit_dimacs))
         print(f"emitted: {len(written)} files to {args.emit_dimacs}", file=sys.stderr)
     if args.json:
@@ -184,7 +182,7 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_encode(args) -> int:
-    enc = _identity_encoding(args.u, args.v)
+    enc = _identity_encoding(_load_circuit(args.u), _load_circuit(args.v))
     written = _write_check_files(enc, Path(args.out))
     for path in written:
         print(f"wrote: {path}")
@@ -221,38 +219,6 @@ def _cmd_bench_inject(args) -> int:
     return 0
 
 
-def _cmd_bench_run(args) -> int:
-    config = CheckConfig(
-        epsilon=args.epsilon, count_timeout=args.timeout, jobs=args.jobs
-    )
-    rows = bench.run_protocol(
-        args.qubits,
-        args.gates,
-        args.cases,
-        args.seed,
-        universal=args.universal,
-        delta=args.delta,
-        config=config,
-    )
-    bench.write_csv(rows, args.out)
-    for row in rows:
-        print(
-            f"row: case={row.case} n={row.n} gates={row.num_gates} "
-            f"verdict={row.verdict} seconds={row.seconds:.3f}"
-        )
-    print(f"wrote: {args.out}")
-    return 0
-
-
-def _add_check_knobs(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON,
-                   help="float-mode tolerance for count == 1")
-    p.add_argument("--jobs", type=int, default=16,
-                   help="concurrent check tasks")
-    p.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT,
-                   help="per-count time budget in seconds")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="paulimc",
                      description="circuit equivalence via weighted model counting")
@@ -261,7 +227,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="decide equivalence of two circuits")
     p.add_argument("u", help="first circuit (OpenQASM 2)")
     p.add_argument("v", help="second circuit (OpenQASM 2)")
-    _add_check_knobs(p)
+    p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON,
+                   help="float-mode tolerance for count == 1")
+    p.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT,
+                   help="per-count time budget in seconds")
     p.add_argument("--json", action="store_true", help="full JSON report")
     p.add_argument("--emit-dimacs", metavar="DIR", default=None,
                    help="also write the 2n check formulas to DIR")
@@ -286,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     oc.add_argument("v")
     oc.set_defaults(func=_cmd_oracle_check)
 
-    p = sub.add_parser("bench", help="benchmark generation and protocol runs")
+    p = sub.add_parser("bench", help="random circuits and error injection")
     bench_sub = p.add_subparsers(dest="bench_command", required=True)
 
     bg = bench_sub.add_parser("gen", help="write a random circuit")
@@ -307,17 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     bi.add_argument("--out", required=True)
     bi.set_defaults(func=_cmd_bench_inject)
 
-    br = bench_sub.add_parser("run", help="run the alternating-case protocol")
-    br.add_argument("--qubits", type=int, required=True)
-    br.add_argument("--gates", type=int, required=True)
-    br.add_argument("--cases", type=int, required=True)
-    br.add_argument("--seed", type=int, required=True)
-    br.add_argument("--universal", action="store_true")
-    br.add_argument("--delta", type=float, default=bench.DEFAULT_DELTA)
-    _add_check_knobs(br)
-    br.add_argument("--out", required=True, metavar="CSV")
-    br.set_defaults(func=_cmd_bench_run)
-
     return parser
 
 
@@ -326,11 +284,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except tuple(cls for cls, _ in _ERROR_CODES) as e:
+    except Exception as e:
         for cls, code in _ERROR_CODES:
             if isinstance(e, cls):
                 return _fail(code, str(e))
-        raise  # pragma: no cover - the tuple above is exactly the map's keys
+        return _fail("internal", f"{type(e).__name__}: {e}")
 
 
 if __name__ == "__main__":

@@ -41,10 +41,6 @@ class ResourceLimitError(RuntimeError):
     """Timeout or memory budget exceeded; never a silently wrong count."""
 
 
-class CountCancelledError(RuntimeError):
-    """Cooperative cancellation (another check already found a witness)."""
-
-
 class TooManyVariablesError(ValueError):
     pass
 
@@ -88,9 +84,8 @@ def _normalize(f: WeightedCnf) -> tuple[list[tuple[int, ...]], bool]:
 
 
 class _Solver:
-    def __init__(self, f: WeightedCnf, deadline, cancel, cache_cap):
+    def __init__(self, f: WeightedCnf, deadline, cache_cap):
         self.deadline = deadline
-        self.cancel = cancel
         self.cache_cap = cache_cap
         self.stats = CountStats()
         self.exact = f.mode == EXACT
@@ -180,8 +175,6 @@ class _Solver:
         )
 
     def _check_budget(self):
-        if self.cancel is not None and self.cancel.is_set():
-            raise CountCancelledError("count cancelled")
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise ResourceLimitError("weighted count timed out")
 
@@ -408,18 +401,16 @@ def count(
     f: WeightedCnf,
     *,
     timeout: float | None = DEFAULT_TIMEOUT,
-    cancel=None,
     cache_cap: int = DEFAULT_CACHE_CAP,
 ) -> CountResult:
     """Exact weighted model count of f over all its declared variables.
 
-    `timeout` is wall-clock seconds (None disables); `cancel` is an object
-    with is_set() checked between decisions, letting a driver abandon
-    counts whose outcome no longer matters.
+    `timeout` is wall-clock seconds (None disables), checked between
+    decisions.
     """
     f.validate()
     deadline = None if timeout is None else time.monotonic() + timeout
-    solver = _Solver(f, deadline, cancel, cache_cap)
+    solver = _Solver(f, deadline, cache_cap)
     t0 = time.perf_counter()
     value = solver.run()
     solver.stats.seconds = time.perf_counter() - t0

@@ -2,30 +2,22 @@
 
 Two circuits agree up to global phase exactly when conjugation by
 A = V^dag U fixes every X_j and Z_j, and each of those 2n conditions is one
-weighted model count that must equal 1.  Checks run on a small thread pool
-with cooperative cancellation: the first count != 1 settles the verdict, so
-outstanding checks with higher indices are told to stop.  Lower-indexed
-checks are left to finish, which pins the reported witness to the lowest
-failing check no matter how the pool interleaves — verdicts must not
-depend on scheduling.
+weighted model count that must equal 1.  The checks run one after another
+in check_order; the first count != 1 settles the verdict and ends the loop,
+so the witness is the lowest failing check by construction.
 
-A timeout never converts into a verdict: if any count hits its resource
-limit and no completed count disproved equivalence, the result is Unknown.
+A timeout never converts into a verdict: a check that hits its time budget
+does not stop the loop, because a later check may still disprove
+equivalence.  If none does, any timeout makes the result Unknown.
 """
 
 from __future__ import annotations
 
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .circuits import Circuit, adjoint, concat, lower
-from .counting import (
-    CountCancelledError,
-    ResourceLimitError,
-    count,
-)
+from .counting import ResourceLimitError, count
 from .encoder import EncodedCircuit, PauliTerm, assemble_check, encode_circuit
 from .weights import as_float, serialize_exact, value_is_one
 
@@ -42,7 +34,7 @@ class QubitCountMismatchError(ValueError):
 
 @dataclass(frozen=True)
 class CheckConfig:
-    """Knobs for one equivalence run.
+    """Settings for one equivalence run.
 
     epsilon is the float-mode tolerance for "count equals 1"; exact mode
     compares ring elements structurally and ignores it.  The default is
@@ -53,13 +45,10 @@ class CheckConfig:
 
     epsilon: float = DEFAULT_EPSILON
     count_timeout: float = 300.0
-    jobs: int = 16
 
     def __post_init__(self) -> None:
         if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
-        if self.jobs < 1:
-            raise ValueError("jobs must be at least 1")
         if self.count_timeout <= 0:
             raise ValueError("count_timeout must be positive")
 
@@ -75,7 +64,7 @@ class Witness:
 class CheckRecord:
     pauli: str
     qubit: int
-    status: str  # "one" | "mismatch" | "timeout" | "cancelled"
+    status: str  # "one" | "mismatch" | "timeout"
     value: object | None
     seconds: float
     decisions: int = 0
@@ -136,17 +125,14 @@ def check_order(n: int) -> list[tuple[str, int]]:
     return order
 
 
-def _run_one(enc: EncodedCircuit, pauli: str, qubit: int, cfg, cancel):
+def _run_one(enc: EncodedCircuit, pauli: str, qubit: int, cfg) -> CheckRecord:
     p = PauliTerm.single(enc.num_qubits, qubit, pauli)
     formula = assemble_check(enc, p)
     t0 = time.perf_counter()
     try:
-        res = count(formula, timeout=cfg.count_timeout, cancel=cancel)
+        res = count(formula, timeout=cfg.count_timeout)
     except ResourceLimitError:
         return CheckRecord(pauli, qubit, "timeout", None,
-                           time.perf_counter() - t0)
-    except CountCancelledError:
-        return CheckRecord(pauli, qubit, "cancelled", None,
                            time.perf_counter() - t0)
     elapsed = time.perf_counter() - t0
     ok = value_is_one(res.value, cfg.epsilon)
@@ -160,36 +146,16 @@ def check_identity(a: Circuit, config: CheckConfig | None = None) -> Verdict:
     t0 = time.perf_counter()
     native = lower(a)
     enc = encode_circuit(native)
-    order = check_order(a.num_qubits)
-    records: list[CheckRecord | None] = [None] * len(order)
-    cancels = [threading.Event() for _ in order]
-    lowest_fail: int | None = None
-    lock = threading.Lock()
-
-    def task(i: int) -> None:
-        nonlocal lowest_fail
-        pauli, qubit = order[i]
-        rec = _run_one(enc, pauli, qubit, cfg, cancels[i])
-        records[i] = rec
+    checks: list[CheckRecord] = []
+    for pauli, qubit in check_order(a.num_qubits):
+        rec = _run_one(enc, pauli, qubit, cfg)
+        checks.append(rec)
         if rec.status == "mismatch":
-            with lock:
-                if lowest_fail is None or i < lowest_fail:
-                    lowest_fail = i
-                    for j in range(i + 1, len(order)):
-                        cancels[j].set()
-
-    workers = min(cfg.jobs, len(order)) or 1
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(task, i) for i in range(len(order))]
-        for fut in futures:
-            fut.result()  # surface task exceptions
-    checks = [rec for rec in records if rec is not None]
+            witness = Witness(rec.pauli, rec.qubit, rec.value)
+            return Verdict(NOT_EQUIVALENT, witness, checks, enc.mode,
+                           time.perf_counter() - t0)
     elapsed = time.perf_counter() - t0
-    if lowest_fail is not None:
-        bad = records[lowest_fail]
-        witness = Witness(bad.pauli, bad.qubit, bad.value)
-        return Verdict(NOT_EQUIVALENT, witness, checks, enc.mode, elapsed)
-    if any(rec.status in ("timeout", "cancelled") for rec in checks):
+    if any(rec.status == "timeout" for rec in checks):
         return Verdict(UNKNOWN, None, checks, enc.mode, elapsed)
     return Verdict(EQUIVALENT, None, checks, enc.mode, elapsed)
 

@@ -596,11 +596,3 @@ def assemble_check(
         weights=weights,
         mode=enc.mode,
     )
-
-
-def build_check_formula(
-    circuit: Circuit, p0: PauliTerm, mode: str = "auto"
-) -> WeightedCnf:
-    """One-shot convenience: encode a native circuit and assemble the
-    count-must-be-one formula for p0."""
-    return assemble_check(encode_circuit(circuit, mode), p0)

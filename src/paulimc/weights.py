@@ -171,38 +171,3 @@ def value_is_one(w, epsilon: float = 0.0) -> bool:
     if isinstance(w, ExactWeight):
         return w.is_one()
     return abs(w - 1.0) <= epsilon
-
-
-def check_mode(weight, mode: str) -> None:
-    if mode == EXACT and not isinstance(weight, ExactWeight):
-        raise ModeMismatchError(f"exact formula carries non-exact weight {weight!r}")
-    if mode == FLOAT and isinstance(weight, ExactWeight):
-        raise ModeMismatchError(f"float formula carries exact weight {weight!r}")
-
-
-class CompensatedSum:
-    """Neumaier-compensated accumulator for float summation.
-
-    Keeps a running correction term so that, e.g., summing a million
-    alternating +1/-1 values with a stray 1e-12 in the middle still returns
-    1e-12 instead of absorbing it.  ``add`` returns self for chaining.
-    """
-
-    __slots__ = ("_s", "_c")
-
-    def __init__(self, start: float = 0.0) -> None:
-        self._s = float(start)
-        self._c = 0.0
-
-    def add(self, x: float) -> "CompensatedSum":
-        t = self._s + x
-        if abs(self._s) >= abs(x):
-            self._c += (self._s - t) + x
-        else:
-            self._c += (x - t) + self._s
-        self._s = t
-        return self
-
-    @property
-    def value(self) -> float:
-        return self._s + self._c

@@ -1,19 +1,15 @@
-import csv
 import math
 from collections import Counter
 
 import pytest
 
 from paulimc.bench import (
-    BenchRow,
     ERROR_KINDS,
     NoEligibleGateError,
     equivalent_variant,
     gen_random_clifford_t,
     gen_random_universal,
     inject_error,
-    run_protocol,
-    write_csv,
 )
 from paulimc.circuits import Circuit, gate
 from paulimc.oracle import equal_up_to_phase, unitary_of
@@ -158,52 +154,3 @@ def test_equivalent_variant_single_qubit_register():
 def test_equivalent_variant_is_seeded():
     c = gen_random_clifford_t(3, 20, seed=2)
     assert equivalent_variant(c, seed=7) == equivalent_variant(c, seed=7)
-
-
-# ------------------------------------------------------------ protocol loop
-
-def test_run_protocol_clifford_t_rows():
-    rows = run_protocol(2, 8, cases=6, seed=42)
-    assert len(rows) == 6
-    # phase_shift is not expressible on a Clifford+T draw, so the cycle is
-    # equivalent / remove_gate / flip_cnot
-    assert [r.case for r in rows] == [
-        "equivalent", "remove_gate", "flip_cnot",
-        "equivalent", "remove_gate", "flip_cnot",
-    ]
-    for row in rows:
-        assert row.n == 2 and row.num_gates == 8
-        assert row.seconds >= 0
-        if row.case == "equivalent":
-            assert row.verdict == "equivalent"
-        else:
-            assert row.verdict == "not_equivalent"
-
-
-def test_run_protocol_universal_includes_phase_shift():
-    rows = run_protocol(2, 10, cases=4, seed=3, universal=True)
-    assert [r.case for r in rows] == [
-        "equivalent", "remove_gate", "flip_cnot", "phase_shift",
-    ]
-
-
-def test_run_protocol_is_reproducible():
-    a = run_protocol(2, 8, cases=3, seed=5)
-    b = run_protocol(2, 8, cases=3, seed=5)
-    assert [(r.case, r.verdict) for r in a] == [(r.case, r.verdict) for r in b]
-
-
-def test_write_csv_layout(tmp_path):
-    rows = [
-        BenchRow("equivalent", 2, 8, "equivalent", 0.12345),
-        BenchRow("flip_cnot", 3, 20, "not_equivalent", 1.5),
-    ]
-    path = tmp_path / "rows.csv"
-    write_csv(rows, path)
-    with open(path, newline="") as fh:
-        got = list(csv.reader(fh))
-    assert got == [
-        ["case", "n", "gates", "verdict", "seconds"],
-        ["equivalent", "2", "8", "equivalent", "0.1235"],
-        ["flip_cnot", "3", "20", "not_equivalent", "1.5000"],
-    ]

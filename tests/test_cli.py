@@ -260,18 +260,6 @@ def test_bench_inject_no_eligible_gate(tmp_path, capsys):
     assert "flip_cnot" in err
 
 
-def test_bench_run_writes_csv_and_rows(tmp_path, capsys):
-    out = tmp_path / "rows.csv"
-    assert main(["bench", "run", "--qubits", "2", "--gates", "6",
-                 "--cases", "3", "--seed", "1", "--out", str(out)]) == 0
-    stdout = capsys.readouterr().out
-    assert stdout.count("row: ") == 3
-    assert f"wrote: {out}" in stdout
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "case,n,gates,verdict,seconds"
-    assert len(lines) == 4
-
-
 # -------------------------------------------------------------------- usage
 
 def test_usage_error_exits_three(capsys):
@@ -290,8 +278,24 @@ def test_unknown_subcommand_exits_three(capsys):
 def test_bad_flag_value_exits_three(tt_and_s, capsys):
     u, v = tt_and_s
     with pytest.raises(SystemExit) as exc:
-        main(["check", u, v, "--jobs", "lots"])
+        main(["check", u, v, "--timeout", "lots"])
     assert exc.value.code == 3
+
+
+def test_internal_error_exits_three_not_a_verdict(tt_and_s, monkeypatch, capsys):
+    # exit 1 means "not equivalent", so a crash must never surface as a
+    # bare traceback with Python's default exit status
+    def crash(*args, **kwargs):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr("paulimc.cli.check_equivalence", crash)
+    u, v = tt_and_s
+    assert main(["check", u, v]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: internal: RecursionError: maximum recursion depth exceeded"
+    ]
 
 
 def test_negative_epsilon_is_a_usage_error(tt_and_s, capsys):

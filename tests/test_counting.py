@@ -1,12 +1,9 @@
-import threading
-
 import pytest
 from hypothesis import example, given, settings
 
 from conftest import exact_cnfs, float_cnfs
 from paulimc.cnf import WeightedCnf
 from paulimc.counting import (
-    CountCancelledError,
     MAX_BRUTE_VARS,
     ResourceLimitError,
     TooManyVariablesError,
@@ -148,10 +145,10 @@ def test_component_cache_reuses_reconverged_residuals():
     # step-to-step structure revisits the same residual subformula via
     # different branch prefixes, which must come out of the cache.
     from paulimc.circuits import Circuit, gate
-    from paulimc.encoder import build_check_formula, pauli_x
+    from paulimc.encoder import assemble_check, encode_circuit, pauli_x
 
     chain = Circuit(1, tuple(gate("t", 1) for _ in range(4)))
-    f = build_check_formula(chain, pauli_x(1, 1))
+    f = assemble_check(encode_circuit(chain), pauli_x(1, 1))
     r = count(f)
     assert r.value == ExactWeight(-1, 0, 0)
     assert r.stats.cache_hits >= 1
@@ -187,14 +184,6 @@ def test_timeout_raises():
 
 def test_timeout_none_disables_deadline():
     assert count(EXAMPLE_F, timeout=None).value == 0.5
-
-
-def test_cancellation():
-    f = WeightedCnf(num_vars=4, clauses=[(1, 2), (3, 4)])
-    cancel = threading.Event()
-    cancel.set()
-    with pytest.raises(CountCancelledError):
-        count(f, cancel=cancel)
 
 
 def test_brute_variable_cap():

@@ -15,7 +15,7 @@ from paulimc.dimacs import (
     save_cnf,
     sidecar_path,
 )
-from paulimc.encoder import build_check_formula, pauli_x, pauli_z
+from paulimc.encoder import assemble_check, encode_circuit, pauli_x, pauli_z
 from paulimc.weights import EXACT, FLOAT, INV_SQRT2, ONE, ExactWeight
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -232,12 +232,12 @@ def test_golden_files_match_current_encoder_bytes(stem, p0):
     # T . T . Sdg fixes both Pauli letters; the files freeze the encoder
     # layout and the emitter byte-for-byte
     a = Circuit(1, (gate("t", 1), gate("t", 1), gate("sdg", 1)))
-    f = build_check_formula(a, p0)
+    f = assemble_check(encode_circuit(a), p0)
     assert emit(f) == (GOLDEN / f"{stem}.cnf").read_text()
 
 
 def test_golden_sidecars_match_current_encoder(tmp_path):
     a = Circuit(1, (gate("t", 1), gate("t", 1), gate("sdg", 1)))
-    f = build_check_formula(a, pauli_x(1, 1))
+    f = assemble_check(encode_circuit(a), pauli_x(1, 1))
     p = save_cnf(f, tmp_path / "x1.cnf")
     assert sidecar_path(p).read_text() == (GOLDEN / "x1.weights.json").read_text()

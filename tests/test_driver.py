@@ -5,7 +5,7 @@ from hypothesis import given, settings
 
 from conftest import native_circuits
 from paulimc.bench import gen_random_universal, inject_error
-from paulimc.circuits import Circuit, gate
+from paulimc.circuits import Circuit, adjoint, concat, gate
 from paulimc.driver import (
     DEFAULT_EPSILON,
     EQUIVALENT,
@@ -94,15 +94,44 @@ def test_witness_localizes_to_qubit_two():
 
 
 def test_witness_is_lowest_failing_check_and_deterministic():
-    # z on both qubits flips X1 and X2; the reported witness must be X1
-    # every run, independent of how the pool interleaves
-    u = Circuit(2, (gate("z", 1), gate("z", 2)))
+    # z on qubits 2 and 3 flips X2 and X3; the checks run in check_order
+    # and stop at the first mismatch, so the witness is X2 on every run and
+    # X3, which would also fail, is never counted
+    u = Circuit(3, (gate("z", 2), gate("z", 3)))
+    order = check_order(3)
+    at = order.index(("X", 2))
     for _ in range(5):
-        verdict = check_equivalence(u, Circuit(2, ()))
+        verdict = check_equivalence(u, Circuit(3, ()))
         assert verdict.status == NOT_EQUIVALENT
-        assert verdict.witness == Witness("X", 1, MINUS_ONE)
-        for rec in verdict.checks:
-            assert rec.status in ("one", "mismatch", "cancelled")
+        assert verdict.witness == Witness("X", 2, MINUS_ONE)
+        assert len(verdict.checks) == at + 1
+        assert [r.status for r in verdict.checks] == ["one"] * at + ["mismatch"]
+
+
+def test_later_mismatch_is_reported_after_an_earlier_timeout():
+    # qubit 1 carries an identity that needs branching to count, qubit 2 an
+    # x that flips Z2.  The budget is read only before a decision, so the
+    # qubit-1 checks always time out at this budget while the qubit-2
+    # checks, settled by propagation alone, always finish.  A timeout must
+    # neither end the loop nor hide the later disproof.
+    w = Circuit(2, (gate("h", 1), gate("t", 1), gate("h", 1), gate("t", 1),
+                    gate("h", 1)))
+    a = concat(w, adjoint(w))
+    a = Circuit(2, a.gates + (gate("x", 2),))
+    verdict = check_identity(a, CheckConfig(count_timeout=1e-7))
+    assert verdict.status == NOT_EQUIVALENT
+    assert verdict.witness == Witness("Z", 2, MINUS_ONE)
+    assert [(r.pauli, r.qubit, r.status) for r in verdict.checks] == [
+        ("X", 1, "timeout"),
+        ("Z", 1, "timeout"),
+        ("X", 2, "one"),
+        ("Z", 2, "mismatch"),
+    ]
+    # with the default budget every check completes: the qubit-1 part is
+    # the identity, so the same witness stands
+    full = check_identity(a)
+    assert full.witness == Witness("Z", 2, MINUS_ONE)
+    assert [r.status for r in full.checks] == ["one"] * 3 + ["mismatch"]
 
 
 def test_qubit_count_mismatch_raises():
@@ -116,8 +145,6 @@ def test_config_validation():
         CheckConfig(epsilon=0.0)
     with pytest.raises(ValueError, match="epsilon"):
         CheckConfig(epsilon=-1e-9)
-    with pytest.raises(ValueError, match="jobs"):
-        CheckConfig(jobs=0)
     with pytest.raises(ValueError, match="count_timeout"):
         CheckConfig(count_timeout=0.0)
     assert CheckConfig().epsilon == DEFAULT_EPSILON
@@ -127,8 +154,6 @@ def test_timeout_yields_unknown_not_a_verdict():
     # identity by construction, but far too heavy to count in the budget:
     # no completed check can disprove equivalence, so the only honest
     # answer is unknown
-    from paulimc.circuits import adjoint, concat
-
     w = Circuit(
         3,
         (

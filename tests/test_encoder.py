@@ -15,7 +15,6 @@ from paulimc.encoder import (
     PauliTermError,
     TOFFOLI_TABLE,
     assemble_check,
-    build_check_formula,
     encode_circuit,
     infer_mode,
     initial_units,
@@ -189,18 +188,20 @@ def test_bad_mode_rejected():
 
 def test_empty_circuit_counts_one():
     for p0 in (pauli_x(1, 1), pauli_z(1, 1)):
-        assert count(build_check_formula(Circuit(1), p0)).value.is_one()
+        f = assemble_check(encode_circuit(Circuit(1)), p0)
+        assert count(f).value.is_one()
 
 
 def test_ttsdg_both_checks_count_one():
     for p0 in (pauli_x(1, 1), pauli_z(1, 1)):
-        f = build_check_formula(TTSDG, p0)
+        f = assemble_check(encode_circuit(TTSDG), p0)
         value = count(f).value
         assert value.is_one()
 
 
 def test_single_t_x_check_is_inv_sqrt2():
-    f = build_check_formula(Circuit(1, (gate("t", 1),)), pauli_x(1, 1))
+    enc = encode_circuit(Circuit(1, (gate("t", 1),)))
+    f = assemble_check(enc, pauli_x(1, 1))
     assert count(f).value == INV_SQRT2
 
 
@@ -217,13 +218,6 @@ def test_assemble_weights_only_touch_final_sign():
     assert set(f.weights) == {6, 9, 11}
     # the base encoding is not mutated by assembling checks from it
     assert enc.frames[-1].r not in enc.cnf.weights
-
-
-def test_build_check_formula_matches_assemble():
-    direct = build_check_formula(TTSDG, pauli_z(1, 1))
-    via = assemble_check(encode_circuit(TTSDG), pauli_z(1, 1))
-    assert direct.clauses == via.clauses
-    assert direct.weights == via.weights
 
 
 def test_cz_maps_ix_to_zx():

@@ -4,18 +4,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from paulimc.weights import (
-    EXACT,
-    FLOAT,
     HALF,
     INV_SQRT2,
     MINUS_ONE,
     ONE,
     ZERO,
-    CompensatedSum,
     ExactWeight,
     ModeMismatchError,
     as_float,
-    check_mode,
     parse_exact,
     serialize_exact,
     value_is_one,
@@ -195,15 +191,6 @@ def test_float_mixing_raises():
         HALF * 2.0
 
 
-def test_check_mode():
-    check_mode(ONE, EXACT)
-    check_mode(0.5, FLOAT)
-    with pytest.raises(ModeMismatchError):
-        check_mode(0.5, EXACT)
-    with pytest.raises(ModeMismatchError):
-        check_mode(ONE, FLOAT)
-
-
 def test_value_is_one():
     assert value_is_one(ONE)
     assert not value_is_one(INV_SQRT2)
@@ -216,19 +203,3 @@ def test_value_is_one():
 def test_comparison_against_non_numbers():
     assert ONE != "one"
     assert (ONE == 1) is True
-
-
-# -- compensated summation ---------------------------------------------------
-
-
-def test_compensated_sum_recovers_tiny_term():
-    s = CompensatedSum()
-    for i in range(10**6):
-        s.add(1.0 if i % 2 == 0 else -1.0)
-        if i == 500_000:
-            s.add(1e-12)
-    assert s.value == 1e-12
-
-
-def test_compensated_sum_chaining_and_start():
-    assert CompensatedSum(2.0).add(1.0).add(-3.0).value == 0.0
