@@ -22,15 +22,7 @@ import sys
 from pathlib import Path
 
 from . import bench
-from .circuits import (
-    CircuitError,
-    QasmParseError,
-    adjoint,
-    concat,
-    lower,
-    parse_qasm,
-    to_qasm,
-)
+from .circuits import CircuitError, QasmParseError, parse_qasm, to_qasm
 from .counting import DEFAULT_TIMEOUT, ResourceLimitError, count
 from .dimacs import FormatError, load_cnf, save_cnf
 from .driver import (
@@ -40,10 +32,11 @@ from .driver import (
     CheckConfig,
     QubitCountMismatchError,
     Verdict,
-    check_equivalence,
+    check_encoding,
     check_order,
+    identity_encoding,
 )
-from .encoder import PauliTerm, assemble_check, encode_circuit
+from .encoder import PauliTerm, assemble_check
 from .oracle import OracleError, TooManyQubitsError, equal_up_to_phase, unitary_of
 from .weights import EXACT, as_float, serialize_exact
 
@@ -133,22 +126,13 @@ def _write_check_files(enc, out_dir: Path) -> list[Path]:
     return written
 
 
-def _identity_encoding(u, v):
-    if u.num_qubits != v.num_qubits:
-        raise QubitCountMismatchError(
-            f"{u.num_qubits}-qubit circuit vs {v.num_qubits}-qubit circuit"
-        )
-    a = concat(lower(u), adjoint(lower(v)))
-    return encode_circuit(a)
-
-
 def _cmd_check(args) -> int:
     u = _load_circuit(args.u)
     v = _load_circuit(args.v)
     config = CheckConfig(epsilon=args.epsilon, count_timeout=args.timeout)
-    verdict = check_equivalence(u, v, config)
+    enc = identity_encoding(u, v)
+    verdict = check_encoding(enc, config)
     if args.emit_dimacs is not None:
-        enc = _identity_encoding(u, v)
         written = _write_check_files(enc, Path(args.emit_dimacs))
         print(f"emitted: {len(written)} files to {args.emit_dimacs}", file=sys.stderr)
     if args.json:
@@ -182,7 +166,7 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_encode(args) -> int:
-    enc = _identity_encoding(_load_circuit(args.u), _load_circuit(args.v))
+    enc = identity_encoding(_load_circuit(args.u), _load_circuit(args.v))
     written = _write_check_files(enc, Path(args.out))
     for path in written:
         print(f"wrote: {path}")

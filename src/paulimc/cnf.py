@@ -52,14 +52,3 @@ class WeightedCnf:
         if w is not None:
             return w
         return ExactWeight.from_int(1) if self.mode == EXACT else 1.0
-
-    def add_clause(self, *lits: int) -> None:
-        self.clauses.append(tuple(lits))
-
-    def copy(self) -> "WeightedCnf":
-        return WeightedCnf(
-            num_vars=self.num_vars,
-            clauses=list(self.clauses),
-            weights=dict(self.weights),
-            mode=self.mode,
-        )

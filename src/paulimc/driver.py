@@ -90,6 +90,10 @@ class CheckRecord:
 
 @dataclass
 class Verdict:
+    """The answer for one encoded circuit.  `elapsed` covers the 2n checks
+    (assembling and counting each formula); parsing, lowering and encoding
+    are not in it."""
+
     status: str
     witness: Witness | None
     checks: list[CheckRecord]
@@ -140,14 +144,24 @@ def _run_one(enc: EncodedCircuit, pauli: str, qubit: int, cfg) -> CheckRecord:
                        res.value, elapsed, res.stats.decisions)
 
 
-def check_identity(a: Circuit, config: CheckConfig | None = None) -> Verdict:
-    """Decide whether a circuit's unitary is the identity up to phase."""
+def identity_encoding(u: Circuit, v: Circuit) -> EncodedCircuit:
+    """The encoding of A = V^dag U: each side lowered, then V's adjoint
+    taken, so the gates are native without a second lowering pass."""
+    if u.num_qubits != v.num_qubits:
+        raise QubitCountMismatchError(
+            f"{u.num_qubits}-qubit circuit vs {v.num_qubits}-qubit circuit"
+        )
+    return encode_circuit(concat(lower(u), adjoint(lower(v))))
+
+
+def check_encoding(
+    enc: EncodedCircuit, config: CheckConfig | None = None
+) -> Verdict:
+    """Decide whether an encoded circuit is the identity up to phase."""
     cfg = config or CheckConfig()
     t0 = time.perf_counter()
-    native = lower(a)
-    enc = encode_circuit(native)
     checks: list[CheckRecord] = []
-    for pauli, qubit in check_order(a.num_qubits):
+    for pauli, qubit in check_order(enc.num_qubits):
         rec = _run_one(enc, pauli, qubit, cfg)
         checks.append(rec)
         if rec.status == "mismatch":
@@ -160,13 +174,13 @@ def check_identity(a: Circuit, config: CheckConfig | None = None) -> Verdict:
     return Verdict(EQUIVALENT, None, checks, enc.mode, elapsed)
 
 
+def check_identity(a: Circuit, config: CheckConfig | None = None) -> Verdict:
+    """Decide whether a circuit's unitary is the identity up to phase."""
+    return check_encoding(encode_circuit(lower(a)), config)
+
+
 def check_equivalence(
     u: Circuit, v: Circuit, config: CheckConfig | None = None
 ) -> Verdict:
     """Decide u == v up to global phase via the identity reduction."""
-    if u.num_qubits != v.num_qubits:
-        raise QubitCountMismatchError(
-            f"{u.num_qubits}-qubit circuit vs {v.num_qubits}-qubit circuit"
-        )
-    a = concat(lower(u), adjoint(lower(v)))
-    return check_identity(a, config)
+    return check_encoding(identity_encoding(u, v), config)

@@ -68,6 +68,23 @@ def test_check_emit_dimacs_writes_formulas(tt_and_s, tmp_path, capsys):
     assert "count: (1+0*sqrt2)/2^0" in capsys.readouterr().out
 
 
+def test_check_emit_dimacs_matches_encode(tmp_path, capsys):
+    # `check` writes the formulas of the encoding it counted; they must be
+    # the very files `encode` writes for the same pair
+    u = qasm_file(tmp_path, "u.qasm", 3,
+                  "h q[0];\nt q[1];\ncx q[0],q[2];\nccx q[0],q[1],q[2];\n")
+    v = qasm_file(tmp_path, "v.qasm", 3, "h q[0];\ntdg q[1];\ncx q[0],q[2];\n")
+    emitted = tmp_path / "emitted"
+    encoded = tmp_path / "encoded"
+    assert main(["check", u, v, "--emit-dimacs", str(emitted)]) == 1
+    assert main(["encode", u, v, "--out", str(encoded)]) == 0
+    names = sorted(p.name for p in encoded.iterdir())
+    assert len(names) == 12  # six formulas, each with its exact-weight sidecar
+    assert sorted(p.name for p in emitted.iterdir()) == names
+    for name in names:
+        assert (emitted / name).read_bytes() == (encoded / name).read_bytes()
+
+
 def test_check_epsilon_flag_changes_the_verdict(tmp_path, capsys):
     v_circ = gen_random_universal(2, 12, seed=2)
     u_circ = inject_error(v_circ, "phase_shift", seed=102, delta=1e-4)
@@ -288,7 +305,7 @@ def test_internal_error_exits_three_not_a_verdict(tt_and_s, monkeypatch, capsys)
     def crash(*args, **kwargs):
         raise RecursionError("maximum recursion depth exceeded")
 
-    monkeypatch.setattr("paulimc.cli.check_equivalence", crash)
+    monkeypatch.setattr("paulimc.cli.check_encoding", crash)
     u, v = tt_and_s
     assert main(["check", u, v]) == 3
     captured = capsys.readouterr()

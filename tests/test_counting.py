@@ -2,6 +2,13 @@ import pytest
 from hypothesis import example, given, settings
 
 from conftest import exact_cnfs, float_cnfs
+from paulimc.bench import (
+    equivalent_variant,
+    gen_random_clifford_t,
+    gen_random_universal,
+    inject_error,
+)
+from paulimc.circuits import adjoint, concat, lower
 from paulimc.cnf import WeightedCnf
 from paulimc.counting import (
     MAX_BRUTE_VARS,
@@ -10,6 +17,8 @@ from paulimc.counting import (
     brute_count,
     count,
 )
+from paulimc.driver import check_order
+from paulimc.encoder import PauliTerm, assemble_check, encode_circuit
 from paulimc.weights import (
     EXACT,
     INV_SQRT2,
@@ -86,9 +95,14 @@ def test_weight_on_variable_outside_clauses():
     assert enumerate_weighted_count(f) == pytest.approx(0.75)
 
 
-def test_negative_weights_cancel():
-    f = WeightedCnf(num_vars=1, weights={1: -1.0})
-    assert count(f).value == 0.0  # -1 + 1 over the two assignments
+@pytest.mark.parametrize("nv", [1, 16])
+def test_negative_weights_cancel(nv):
+    # every variable is free, so the count is the product of the factors
+    # W(v) + W(not v); odd variables weigh -1, and -1.0 + 1.0 is exactly
+    # 0.0, so the product is exactly 0.0 whatever the other factors are
+    weights = {v: -1.0 if v % 2 else 1.0 for v in range(1, nv + 1)}
+    f = WeightedCnf(num_vars=nv, weights=weights)
+    assert count(f).value == 0.0
 
 
 # -- agreement with independent enumerations ---------------------------------
@@ -155,14 +169,15 @@ def test_component_cache_reuses_reconverged_residuals():
     assert brute_count(f) == r.value
 
 
-def test_disjoint_clauses_split_into_components():
-    # two clauses over disjoint variables are solved as independent
-    # components at the root: the decision count stays linear (one per
-    # component) instead of multiplying out the branch tree
+def test_disjoint_clauses_collapse_in_the_cache():
+    # both branches on variable 1 leave the same residual, (3 or 4): the
+    # second branch reaches it in the cache, so the decision count stays
+    # one per clause instead of multiplying out the branch tree
     f = WeightedCnf(num_vars=4, clauses=[(1, 2), (3, 4)])
     r = count(f)
     assert r.value == 9.0
     assert r.stats.decisions <= 2
+    assert r.stats.cache_hits >= 1
 
 
 def test_timeout_raises():
@@ -201,17 +216,84 @@ def test_validation_runs_before_counting():
         count(f)
 
 
-# -- regression spot: alternating-sign accumulation --------------------------
+# -- the search itself, pinned -----------------------------------------------
+
+# Every check formula of three seeded pairs, as
+# (check, value, decisions, propagations, cache_hits, cache_stores).
+# A change to the counter that is not meant to change the search must keep
+# each row bit for bit; a change that is meant to must say so and re-record.
+_ONE = "(1+0*sqrt2)/2^0"
+_ZERO = "(0+0*sqrt2)/2^0"
+PINNED_SEARCH = {
+    "clifford_t_equivalent": [
+        ("X1", _ONE, 1, 375, 0, 1),
+        ("Z1", _ONE, 1, 300, 0, 1),
+        ("X2", _ONE, 1, 353, 0, 1),
+        ("Z2", _ONE, 0, 257, 0, 0),
+        ("X3", _ONE, 1, 375, 0, 1),
+        ("Z3", _ONE, 1, 300, 0, 1),
+        ("X4", _ONE, 28, 984, 21, 28),
+        ("Z4", _ONE, 0, 257, 0, 0),
+        ("X5", _ONE, 0, 257, 0, 0),
+        ("Z5", _ONE, 20, 1108, 13, 20),
+        ("X6", _ONE, 12, 914, 5, 12),
+        ("Z6", _ONE, 0, 257, 0, 0),
+        ("X7", _ONE, 7, 806, 2, 7),
+        ("Z7", _ONE, 1, 343, 0, 1),
+    ],
+    "clifford_t_flipped_cx": [
+        ("X1", _ZERO, 0, 100, 0, 0),
+        ("Z1", _ZERO, 0, 71, 0, 0),
+        ("X2", _ONE, 1, 289, 0, 1),
+        ("Z2", _ZERO, 0, 85, 0, 0),
+        ("X3", _ONE, 0, 223, 0, 0),
+        ("Z3", _ONE, 0, 223, 0, 0),
+        ("X4", _ONE, 7, 628, 1, 7),
+        ("Z4", _ONE, 6, 530, 1, 6),
+        ("X5", _ONE, 10, 825, 5, 10),
+        ("Z5", _ONE, 2, 371, 0, 2),
+        ("X6", _ZERO, 0, 111, 0, 0),
+        ("Z6", _ZERO, 0, 87, 0, 0),
+    ],
+    "float_ccx_phase_shift": [
+        ("X1", 0.9999999999999998, 1, 130, 0, 1),
+        ("Z1", 1.0, 0, 97, 0, 0),
+        ("X2", 1.0, 7, 314, 0, 7),
+        ("Z2", 1.0, 0, 97, 0, 0),
+        ("X3", 1.0, 0, 97, 0, 0),
+        ("Z3", 1.0, 3, 214, 0, 3),
+        ("X4", 0.999999995, 1, 116, 0, 1),
+        ("Z4", 0.9999999999009526, 8, 261, 1, 8),
+        ("X5", 1.0, 0, 97, 0, 0),
+        ("Z5", 1.0, 0, 97, 0, 0),
+        ("X6", 0.9999999999999998, 7, 295, 0, 7),
+        ("Z6", 1.0, 0, 97, 0, 0),
+    ],
+}
 
 
-def test_signed_branch_summation_is_stable():
-    # many +w/-w pairs around a tiny residual; the compensated float path
-    # must not lose the residual to rounding
-    clauses = []
-    weights = {}
-    nv = 16
-    for v in range(1, nv + 1):
-        weights[v] = 1.0 if v % 2 else -1.0
-    f = WeightedCnf(num_vars=nv, clauses=clauses, weights=weights)
-    # every variable free: product over v of (W(v) + W(-v)) = 2^8 * 0^8 = 0
-    assert count(f).value == 0.0
+def _pinned_pairs():
+    eq = gen_random_clifford_t(7, 56, 2)
+    neq = gen_random_clifford_t(6, 48, 103)
+    rot = gen_random_universal(6, 12, 217)  # one ccx, rx/rz at float angles
+    return {
+        "clifford_t_equivalent": (eq, equivalent_variant(eq, 3)),
+        "clifford_t_flipped_cx": (neq, inject_error(neq, "flip_cnot", 4)),
+        "float_ccx_phase_shift": (rot, inject_error(rot, "phase_shift", 218)),
+    }
+
+
+def test_search_statistics_are_pinned():
+    for name, (u, v) in _pinned_pairs().items():
+        enc = encode_circuit(concat(lower(u), adjoint(lower(v))))
+        n = enc.num_qubits
+        got = []
+        for pauli, qubit in check_order(n):
+            r = count(assemble_check(enc, PauliTerm.single(n, qubit, pauli)))
+            s = r.stats
+            value = (
+                r.value if isinstance(r.value, float) else serialize_exact(r.value)
+            )
+            got.append((f"{pauli}{qubit}", value, s.decisions, s.propagations,
+                        s.cache_hits, s.cache_stores))
+        assert got == PINNED_SEARCH[name], name
