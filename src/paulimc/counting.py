@@ -6,6 +6,14 @@ works on any WeightedCnf; on the layered formulas the encoder produces,
 the residual cache is what turns the exponential branch tree over T/h
 variables into a sweep over distinct reachable Pauli states.
 
+PreparedCnf(f) does once what depends on f alone: validation,
+normalization, occurrence and weight tables.  Its count(units) runs one
+search, with its own cache, statistics and deadline, on f plus the unit
+literals `units`, queued ahead of f's own unit clauses; search and
+statistics are those of count() on f with those unit clauses placed first.
+The 2n equivalence checks differ only in 4n+1 unit literals, so the driver
+prepares one formula per verdict.  count(f) is PreparedCnf(f).count().
+
 The residual is not split into connected components, as general-purpose
 counters do: in the encoding every gate's sign clauses link the sign
 variable of one time step to the next, so a check formula's residual stays
@@ -27,9 +35,11 @@ fractional weights, discarding one phase of a variable changes the count.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 from hashlib import blake2b
 
@@ -89,10 +99,14 @@ def _normalize(f: WeightedCnf) -> tuple[list[tuple[int, ...]], bool]:
     return out, empty
 
 
-class _Solver:
-    def __init__(self, f: WeightedCnf, deadline):
-        self.deadline = deadline
-        self.stats = CountStats()
+class PreparedCnf:
+    """A formula made ready to count: validated and normalized, with its
+    occurrence lists and weight tables built.  count(units) counts it with
+    extra unit literals; one preparation serves any number of counts."""
+
+    def __init__(self, f: WeightedCnf):
+        f.validate()
+        self.num_vars = nv = f.num_vars
         self.exact = f.mode == EXACT
         if self.exact:
             self.one = ExactWeight.from_int(1)
@@ -101,12 +115,16 @@ class _Solver:
             self.one = 1.0
             self.zero = 0.0
         self.clauses, self.saw_empty = _normalize(f)
-        nv = f.num_vars
         occ_lists: list[list[int]] = [[] for _ in range(nv + 1)]
         for cid, clause in enumerate(self.clauses):
             for lit in clause:
                 occ_lists[abs(lit)].append(cid)
         self.occ = [tuple(ids) for ids in occ_lists]
+        # a normalized clause holds each variable at most once, so occn[v]
+        # counts the clauses containing v
+        self.occn = array("i", [len(ids) for ids in occ_lists])
+        self.absent = [v for v in range(1, nv + 1) if self.occn[v] == 0]
+        self.units = [c[0] for c in self.clauses if len(c) == 1]
         one = self.one
         self.wpos = [one] * (nv + 1)
         self.wneg = [one] * (nv + 1)
@@ -118,6 +136,35 @@ class _Solver:
         self.free_factor = [
             self.wpos[v] + self.wneg[v] for v in range(nv + 1)
         ]
+
+    def count(
+        self, units: Sequence[int] = (), *,
+        timeout: float | None = DEFAULT_TIMEOUT,
+    ) -> CountResult:
+        """count() of the formula with each literal of `units` added as a
+        unit clause."""
+        for lit in units:
+            if lit == 0 or abs(lit) > self.num_vars:
+                raise ValueError(f"unit literal {lit} out of range")
+        deadline = None if timeout is None else time.monotonic() + timeout
+        solver = _Solver(self, deadline)
+        t0 = time.perf_counter()
+        value = solver.run(units)
+        solver.stats.seconds = time.perf_counter() - t0
+        return CountResult(value=value, stats=solver.stats)
+
+
+class _Solver:
+    """The search state of one count; the tables are the prepared form's."""
+
+    def __init__(self, prep: PreparedCnf, deadline):
+        self.prep = prep
+        self.deadline = deadline
+        self.stats = CountStats()
+        self.exact, self.one, self.zero = prep.exact, prep.one, prep.zero
+        self.clauses, self.occ = prep.clauses, prep.occ
+        self.wpos, self.wneg = prep.wpos, prep.wneg
+        self.free_factor = prep.free_factor
         self.cache: dict[bytes, object] = {}
 
     def w_of(self, lit: int):
@@ -126,8 +173,9 @@ class _Solver:
     def _is_zero(self, w) -> bool:
         return w.is_zero() if self.exact else w == 0.0
 
-    def run(self):
-        if self.saw_empty:
+    def run(self, units: Sequence[int]):
+        prep = self.prep
+        if prep.saw_empty:
             return self.zero
         # Residual state: `mask` flags active clause ids (bytearray: C-speed
         # membership, memcpy copies, and its bytes feed the cache key
@@ -137,25 +185,14 @@ class _Solver:
         # branch-variable scan).
         mask = bytearray(b"\x01") * len(self.clauses)
         forms: dict[int, tuple[int, ...]] = {}
-        nv = len(self.wpos) - 1
-        occn = array("i", bytes(4 * (nv + 1)))
-        for clause in self.clauses:
-            for lit in clause:
-                occn[abs(lit)] += 1
-        # variables declared but absent from every clause are free
-        outside = self.one
-        for v in range(1, nv + 1):
-            if occn[v] == 0:
-                outside = outside * self.free_factor[v]
-        # seed propagation with the formula's unit clauses
+        occn = array("i", prep.occn)
+        # Seed propagation with the given units, then the formula's own unit
+        # clauses, as if the given units were clauses ahead of the formula's:
+        # the queue order fixes where propagation meets a conflict.
         pending: dict[int, int] = {}
         queue: list[int] = []
         wprod = self.one
-        for cid in range(len(self.clauses)):
-            clause = self.clauses[cid]
-            if len(clause) != 1:
-                continue
-            lit = clause[0]
+        for lit in itertools.chain(units, prep.units):
             v = abs(lit)
             prev = pending.get(v)
             if prev is None:
@@ -167,6 +204,11 @@ class _Solver:
                 queue.append(lit)
             elif prev != lit:
                 return self.zero
+        # variables absent from every clause and not pinned by a unit are free
+        outside = self.one
+        for v in prep.absent:
+            if v not in pending:
+                outside = outside * self.free_factor[v]
         wprod = self._propagate(mask, forms, occn, pending, queue, wprod)
         if wprod is None:
             return self.zero
@@ -311,13 +353,7 @@ def count(
     `timeout` is wall-clock seconds (None disables), checked between
     decisions.
     """
-    f.validate()
-    deadline = None if timeout is None else time.monotonic() + timeout
-    solver = _Solver(f, deadline)
-    t0 = time.perf_counter()
-    value = solver.run()
-    solver.stats.seconds = time.perf_counter() - t0
-    return CountResult(value=value, stats=solver.stats)
+    return PreparedCnf(f).count(timeout=timeout)
 
 
 def brute_count(f: WeightedCnf):

@@ -17,8 +17,8 @@ import time
 from dataclasses import dataclass
 
 from .circuits import Circuit, adjoint, concat, lower
-from .counting import ResourceLimitError, count
-from .encoder import EncodedCircuit, PauliTerm, assemble_check, encode_circuit
+from .counting import PreparedCnf, ResourceLimitError
+from .encoder import EncodedCircuit, PauliTerm, check_base, check_units, encode_circuit
 from .weights import as_float, serialize_exact, value_is_one
 
 EQUIVALENT = "equivalent"
@@ -68,6 +68,9 @@ class CheckRecord:
     value: object | None
     seconds: float
     decisions: int = 0
+    propagations: int = 0
+    cache_hits: int = 0
+    cache_stores: int = 0
 
     def to_dict(self) -> dict:
         val = self.value
@@ -77,6 +80,9 @@ class CheckRecord:
             "status": self.status,
             "seconds": round(self.seconds, 6),
             "decisions": self.decisions,
+            "propagations": self.propagations,
+            "cache_hits": self.cache_hits,
+            "cache_stores": self.cache_stores,
         }
         if val is None:
             out["value"] = None
@@ -90,9 +96,9 @@ class CheckRecord:
 
 @dataclass
 class Verdict:
-    """The answer for one encoded circuit.  `elapsed` covers the 2n checks
-    (assembling and counting each formula); parsing, lowering and encoding
-    are not in it."""
+    """The answer for one encoded circuit.  `elapsed` covers one preparation
+    of the shared check formula plus the 2n counts on it; parsing, lowering
+    and encoding are not in it."""
 
     status: str
     witness: Witness | None
@@ -129,19 +135,20 @@ def check_order(n: int) -> list[tuple[str, int]]:
     return order
 
 
-def _run_one(enc: EncodedCircuit, pauli: str, qubit: int, cfg) -> CheckRecord:
-    p = PauliTerm.single(enc.num_qubits, qubit, pauli)
-    formula = assemble_check(enc, p)
+def _run_one(prepared: PreparedCnf, units: list[int], pauli: str,
+             qubit: int, cfg) -> CheckRecord:
     t0 = time.perf_counter()
     try:
-        res = count(formula, timeout=cfg.count_timeout)
+        res = prepared.count(units, timeout=cfg.count_timeout)
     except ResourceLimitError:
         return CheckRecord(pauli, qubit, "timeout", None,
                            time.perf_counter() - t0)
     elapsed = time.perf_counter() - t0
     ok = value_is_one(res.value, cfg.epsilon)
+    s = res.stats
     return CheckRecord(pauli, qubit, "one" if ok else "mismatch",
-                       res.value, elapsed, res.stats.decisions)
+                       res.value, elapsed, s.decisions, s.propagations,
+                       s.cache_hits, s.cache_stores)
 
 
 def identity_encoding(u: Circuit, v: Circuit) -> EncodedCircuit:
@@ -159,10 +166,13 @@ def check_encoding(
 ) -> Verdict:
     """Decide whether an encoded circuit is the identity up to phase."""
     cfg = config or CheckConfig()
+    n = enc.num_qubits
     t0 = time.perf_counter()
+    prepared = PreparedCnf(check_base(enc))
     checks: list[CheckRecord] = []
-    for pauli, qubit in check_order(enc.num_qubits):
-        rec = _run_one(enc, pauli, qubit, cfg)
+    for pauli, qubit in check_order(n):
+        units = check_units(enc, PauliTerm.single(n, qubit, pauli))
+        rec = _run_one(prepared, units, pauli, qubit, cfg)
         checks.append(rec)
         if rec.status == "mismatch":
             witness = Witness(rec.pauli, rec.qubit, rec.value)

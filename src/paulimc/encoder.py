@@ -570,12 +570,21 @@ def projection_units(enc: EncodedCircuit, p: PauliTerm) -> list[tuple[int]]:
     return units
 
 
-def assemble_check(
+def check_base(enc: EncodedCircuit) -> WeightedCnf:
+    """What every check formula shares: the gate clauses and branch weights,
+    plus the weight -1 on the final sign bit r(m)."""
+    weights = dict(enc.cnf.weights)
+    weights[enc.frames[-1].r] = MINUS_ONE if enc.mode == EXACT else -1.0
+    return WeightedCnf(enc.cnf.num_vars, enc.cnf.clauses, weights, enc.mode)
+
+
+def check_units(
     enc: EncodedCircuit,
     p0: PauliTerm,
     project: PauliTerm | None = None,
-) -> WeightedCnf:
-    """Full formula for one count: units + gate clauses + projection.
+) -> list[int]:
+    """The 4n+1 unit literals that make check_base one check: the initial
+    units, then the projection units.
 
     `project` defaults to p0 itself (the diagonal coefficient that must be
     1 for equivalence); pass a different string to read off any other
@@ -583,16 +592,19 @@ def assemble_check(
     """
     if project is None:
         project = p0.unsigned()
-    clauses = (
-        initial_units(enc, p0)
-        + list(enc.cnf.clauses)
-        + projection_units(enc, project)
-    )
-    weights = dict(enc.cnf.weights)
-    weights[enc.frames[-1].r] = MINUS_ONE if enc.mode == EXACT else -1.0
-    return WeightedCnf(
-        num_vars=enc.cnf.num_vars,
-        clauses=clauses,
-        weights=weights,
-        mode=enc.mode,
-    )
+    units = initial_units(enc, p0) + projection_units(enc, project)
+    return [lit for (lit,) in units]
+
+
+def assemble_check(
+    enc: EncodedCircuit,
+    p0: PauliTerm,
+    project: PauliTerm | None = None,
+) -> WeightedCnf:
+    """Full formula for one count, check_base with check_units as clauses:
+    the initial units, the gate clauses, then the projection units."""
+    f = check_base(enc)
+    units = [(lit,) for lit in check_units(enc, p0, project)]
+    k = 2 * enc.num_qubits + 1  # the initial units
+    f.clauses = units[:k] + f.clauses + units[k:]
+    return f

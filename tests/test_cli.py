@@ -53,6 +53,9 @@ def test_check_json_report(tt_and_s, capsys):
     assert report["witness"] is None
     assert len(report["checks"]) == 2
     assert {c["pauli"] for c in report["checks"]} == {"X", "Z"}
+    for c in report["checks"]:
+        for key in ("decisions", "propagations", "cache_hits", "cache_stores"):
+            assert isinstance(c[key], int) and c[key] >= 0
 
 
 def test_check_emit_dimacs_writes_formulas(tt_and_s, tmp_path, capsys):

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import exact_cnfs, float_cnfs
 from paulimc.bench import (
@@ -12,15 +12,17 @@ from paulimc.circuits import adjoint, concat, lower
 from paulimc.cnf import WeightedCnf
 from paulimc.counting import (
     MAX_BRUTE_VARS,
+    PreparedCnf,
     ResourceLimitError,
     TooManyVariablesError,
     brute_count,
     count,
 )
-from paulimc.driver import check_order
+from paulimc.driver import check_encoding, check_order
 from paulimc.encoder import PauliTerm, assemble_check, encode_circuit
 from paulimc.weights import (
     EXACT,
+    FLOAT,
     INV_SQRT2,
     ExactWeight,
     ModeMismatchError,
@@ -144,6 +146,64 @@ def test_counting_is_deterministic(f):
     assert r1.stats.propagations == r2.stats.propagations
 
 
+def _search(r):
+    s = r.stats
+    return (r.value, s.decisions, s.propagations, s.cache_hits, s.cache_stores)
+
+
+@st.composite
+def _formula_and_unit_lists(draw):
+    """A small formula with up to two extra variables that no clause
+    mentions (weighted or not), and two lists of unit literals over all its
+    variables: repeats and contradictions included."""
+    mode = draw(st.sampled_from([FLOAT, EXACT]))
+    if mode == FLOAT:
+        f = draw(float_cnfs(max_vars=8, max_clauses=16))
+    else:
+        f = draw(exact_cnfs(max_vars=8, max_clauses=16))
+    extra = draw(st.integers(0, 2))
+    nv = f.num_vars + extra
+    weights = dict(f.weights)
+    for v in range(f.num_vars + 1, nv + 1):
+        if draw(st.booleans()):
+            weights[v] = 0.5 if mode == FLOAT else INV_SQRT2
+    f = WeightedCnf(nv, f.clauses, weights, mode)
+    lits = st.integers(1, nv).flatmap(lambda v: st.sampled_from([v, -v]))
+    unit_lists = st.lists(st.lists(lits, max_size=6), min_size=2, max_size=2)
+    return f, draw(unit_lists)
+
+
+@given(_formula_and_unit_lists())
+# queued ahead of the formula's unit (2,), -3 meets the conflict in (3, 1)
+# after one propagation; queued behind it, after two
+@example((WeightedCnf(3, [(3, 1), (2,)]), [[-3, -1], []]))
+@settings(max_examples=200)
+def test_prepared_count_matches_units_as_clauses(case):
+    # One preparation serves several counts: each must search exactly as
+    # count() does on the formula with its units as leading unit clauses.
+    f, unit_lists = case
+    prepared = PreparedCnf(f)
+    for units in unit_lists + unit_lists[:1]:
+        with_units = WeightedCnf(
+            f.num_vars, [(lit,) for lit in units] + f.clauses, f.weights, f.mode
+        )
+        got = prepared.count(units)
+        assert _search(got) == _search(count(with_units))
+        expected = brute_count(with_units)
+        if f.mode == EXACT:
+            assert got.value == expected
+        else:
+            assert values_close(got.value, expected)
+
+
+def test_prepared_count_rejects_out_of_range_units():
+    prepared = PreparedCnf(EXAMPLE_F)
+    for bad in (0, 4, -4):
+        with pytest.raises(ValueError):
+            prepared.count([1, bad])
+    assert prepared.count([1]).value == -1.0  # W(a) * W(b), c unbiased
+
+
 # -- stats and controls ------------------------------------------------------
 
 
@@ -153,11 +213,11 @@ def test_stats_populated():
     assert r.stats.propagations >= 2  # the two unit clauses
 
 
-def test_component_cache_reuses_reconverged_residuals():
+def test_cache_reuses_reconverged_residuals():
     # a chain of four T gates is Z up to phase, so conjugating X yields -X
-    # and the check formula counts to exactly -1.  Along the way the
-    # step-to-step structure revisits the same residual subformula via
-    # different branch prefixes, which must come out of the cache.
+    # and the check formula counts to exactly -1.  Along the way different
+    # branch prefixes reach the same residual formula, whose count must
+    # come out of the residual cache.
     from paulimc.circuits import Circuit, gate
     from paulimc.encoder import assemble_check, encode_circuit, pauli_x
 
@@ -283,6 +343,18 @@ def _pinned_pairs():
     }
 
 
+# where each pair's verdict stops: its witness, or None when equivalent
+PINNED_WITNESS = {
+    "clifford_t_equivalent": None,
+    "clifford_t_flipped_cx": "X1",
+    "float_ccx_phase_shift": "X4",  # 5e-9 from 1, past the default epsilon
+}
+
+
+def _pinned_value(value):
+    return value if isinstance(value, float) else serialize_exact(value)
+
+
 def test_search_statistics_are_pinned():
     for name, (u, v) in _pinned_pairs().items():
         enc = encode_circuit(concat(lower(u), adjoint(lower(v))))
@@ -291,9 +363,18 @@ def test_search_statistics_are_pinned():
         for pauli, qubit in check_order(n):
             r = count(assemble_check(enc, PauliTerm.single(n, qubit, pauli)))
             s = r.stats
-            value = (
-                r.value if isinstance(r.value, float) else serialize_exact(r.value)
-            )
-            got.append((f"{pauli}{qubit}", value, s.decisions, s.propagations,
-                        s.cache_hits, s.cache_stores))
+            got.append((f"{pauli}{qubit}", _pinned_value(r.value), s.decisions,
+                        s.propagations, s.cache_hits, s.cache_stores))
         assert got == PINNED_SEARCH[name], name
+        # the driver counts on one prepared formula; its records must carry
+        # the same rows, up to the witness
+        rows = PINNED_SEARCH[name]
+        witness = PINNED_WITNESS[name]
+        if witness is not None:
+            rows = rows[: [row[0] for row in rows].index(witness) + 1]
+        records = [
+            (f"{c.pauli}{c.qubit}", _pinned_value(c.value), c.decisions,
+             c.propagations, c.cache_hits, c.cache_stores)
+            for c in check_encoding(enc).checks
+        ]
+        assert records == rows, name

@@ -86,6 +86,19 @@ def test_empty_circuits_are_equivalent():
     assert [r.status for r in verdict.checks] == ["one"] * 4
 
 
+def test_idle_qubit_checks_count_exactly_one():
+    # qubits 2 and 3 take no gate, so no gate clause mentions their bits;
+    # the check's units pin them, and a pinned variable is not free: X3 and
+    # Z3 count 1, not the 4 that a free factor of 2 per bit would give
+    u = Circuit(3, (gate("h", 1), gate("t", 1), gate("t", 1)))
+    v = Circuit(3, (gate("h", 1), gate("s", 1)))
+    verdict = check_equivalence(u, v)
+    assert verdict.status == EQUIVALENT
+    assert verdict.mode == "exact"
+    last = {f"{r.pauli}{r.qubit}": r.value for r in verdict.checks[-2:]}
+    assert last == {"X3": ONE, "Z3": ONE}
+
+
 def test_witness_localizes_to_qubit_two():
     u = Circuit(2, (gate("x", 2),))
     verdict = check_equivalence(u, Circuit(2, ()))
