@@ -19,17 +19,15 @@ import time
 sys.path.insert(0, "src")
 
 from paulimc.bench import equivalent_variant, gen_random_clifford_t
-from paulimc.circuits import adjoint, concat, lower
-from paulimc.driver import check_equivalence
-from paulimc.encoder import encode_circuit
+from paulimc.driver import check_encoding, identity_encoding
 
 
 def measure(n: int, m: int, seed: int) -> dict:
     u = gen_random_clifford_t(n, m, seed=seed)
     v = equivalent_variant(u, seed=seed + 1)
-    enc = encode_circuit(concat(lower(u), adjoint(lower(v))))
     t0 = time.perf_counter()
-    verdict = check_equivalence(u, v)
+    enc = identity_encoding(u, v)  # the sizes below are of this encoding
+    verdict = check_encoding(enc)
     elapsed = time.perf_counter() - t0
     assert verdict.status == "equivalent", (n, m, seed, verdict.status)
     per_check = [rec.seconds for rec in verdict.checks]

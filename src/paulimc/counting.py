@@ -4,7 +4,9 @@ count() is a DPLL-style counter: unit propagation, branching on the
 lowest unassigned variable, and a cache of residual-formula counts.  It
 works on any WeightedCnf; on the layered formulas the encoder produces,
 the residual cache is what turns the exponential branch tree over T/h
-variables into a sweep over distinct reachable Pauli states.
+variables into a sweep over distinct reachable Pauli states.  The search
+is one loop over an explicit stack of open decisions, so a deep circuit
+is not limited by Python's recursion limit.
 
 PreparedCnf(f) does once what depends on f alone: validation,
 normalization, occurrence and weight tables.  Its count(units) runs one
@@ -27,7 +29,8 @@ the residual without being assigned contributes the factor
 W(v) + W(not v) (which is 2 for an unweighted variable, per the semantics
 of counting over the full assignment space).  brute_count() enumerates
 assignments directly and exists so the clever counter has something dumb
-to be checked against.
+to be checked against.  Counting imports no numpy; brute_count() loads it
+when called.
 
 Pure-literal elimination is deliberately absent: with negative and
 fractional weights, discarding one phase of a variable changes the count.
@@ -42,8 +45,6 @@ from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 from hashlib import blake2b
-
-import numpy as np
 
 from .cnf import WeightedCnf
 from .weights import EXACT, ExactWeight
@@ -101,18 +102,18 @@ def _normalize(f: WeightedCnf) -> tuple[list[tuple[int, ...]], bool]:
 
 class PreparedCnf:
     """A formula made ready to count: validated and normalized, with its
-    occurrence lists and weight tables built.  count(units) counts it with
+    occurrence lists and weight table built.  count(units) counts it with
     extra unit literals; one preparation serves any number of counts."""
 
     def __init__(self, f: WeightedCnf):
         f.validate()
         self.num_vars = nv = f.num_vars
-        self.exact = f.mode == EXACT
-        if self.exact:
-            self.one = ExactWeight.from_int(1)
+        exact = f.mode == EXACT
+        if exact:
+            self.one = one = ExactWeight.from_int(1)
             self.zero = ExactWeight.from_int(0)
         else:
-            self.one = 1.0
+            self.one = one = 1.0
             self.zero = 0.0
         self.clauses, self.saw_empty = _normalize(f)
         occ_lists: list[list[int]] = [[] for _ in range(nv + 1)]
@@ -125,16 +126,18 @@ class PreparedCnf:
         self.occn = array("i", [len(ids) for ids in occ_lists])
         self.absent = [v for v in range(1, nv + 1) if self.occn[v] == 0]
         self.units = [c[0] for c in self.clauses if len(c) == 1]
-        one = self.one
-        self.wpos = [one] * (nv + 1)
-        self.wneg = [one] * (nv + 1)
+        # The literals whose weight is not 1, with None marking weight 0.
+        # nonunit.get(lit, one) returns the very object `one` for every
+        # other literal, so an assignment of weight 1 costs no product.
+        self.nonunit: dict[int, object] = {}
         for lit, w in f.weights.items():
-            if lit > 0:
-                self.wpos[lit] = w
-            else:
-                self.wneg[-lit] = w
+            if w.is_zero() if exact else w == 0.0:
+                self.nonunit[lit] = None
+            elif w != one:
+                self.nonunit[lit] = w
+        weight = f.weights.get
         self.free_factor = [
-            self.wpos[v] + self.wneg[v] for v in range(nv + 1)
+            weight(v, one) + weight(-v, one) for v in range(nv + 1)
         ]
 
     def count(
@@ -154,6 +157,42 @@ class PreparedCnf:
         return CountResult(value=value, stats=solver.stats)
 
 
+def _lowest_active(occn: array) -> int:
+    """The lowest variable v with occn[v] > 0: the first non-zero byte of
+    the counts, at C speed, lies inside that variable's entry."""
+    raw = occn.tobytes()
+    return (len(raw) - len(raw.lstrip(b"\0"))) // occn.itemsize
+
+
+def _residual_key(mask: bytearray, forms: dict) -> bytes:
+    """The mask bytes identify the active set; the (small) dict of
+    shortened forms identifies every modification.  Together they pin the
+    residual formula exactly."""
+    flat = array("q")
+    for cid in sorted(forms):
+        flat.append(cid)
+        form = forms[cid]
+        flat.append(len(form))
+        flat.extend(form)
+    return blake2b(bytes(mask) + flat.tobytes(), digest_size=16).digest()
+
+
+class _Node:
+    """An open decision: a residual that missed the cache, branching on
+    its lowest active variable v, first as v and then as -v."""
+
+    __slots__ = ("key", "mask", "forms", "occn", "v", "side", "wprod",
+                 "total")
+
+    def __init__(self, key, mask, forms, occn, v):
+        self.key = key
+        self.mask, self.forms, self.occn = mask, forms, occn
+        self.v = v
+        self.side = 0  # branches tried so far
+        self.wprod = None  # weight product of the branch being counted
+        self.total = None  # sum over the branches counted so far
+
+
 class _Solver:
     """The search state of one count; the tables are the prepared form's."""
 
@@ -161,28 +200,23 @@ class _Solver:
         self.prep = prep
         self.deadline = deadline
         self.stats = CountStats()
-        self.exact, self.one, self.zero = prep.exact, prep.one, prep.zero
+        self.one, self.zero = prep.one, prep.zero
         self.clauses, self.occ = prep.clauses, prep.occ
-        self.wpos, self.wneg = prep.wpos, prep.wneg
+        self.nonunit = prep.nonunit
         self.free_factor = prep.free_factor
         self.cache: dict[bytes, object] = {}
 
-    def w_of(self, lit: int):
-        return self.wpos[lit] if lit > 0 else self.wneg[-lit]
-
-    def _is_zero(self, w) -> bool:
-        return w.is_zero() if self.exact else w == 0.0
-
     def run(self, units: Sequence[int]):
         prep = self.prep
+        one = self.one
         if prep.saw_empty:
             return self.zero
         # Residual state: `mask` flags active clause ids (bytearray: C-speed
         # membership, memcpy copies, and its bytes feed the cache key
         # directly), `forms` holds shortened clauses for modified active
         # ids only, `occn[v]` counts active clauses containing unassigned v
-        # (array('i'): memcpy copies; a zero-copy numpy view serves the
-        # branch-variable scan).
+        # (array('i'): memcpy copies, and its bytes give the branch
+        # variable).
         mask = bytearray(b"\x01") * len(self.clauses)
         forms: dict[int, tuple[int, ...]] = {}
         occn = array("i", prep.occn)
@@ -191,28 +225,29 @@ class _Solver:
         # the queue order fixes where propagation meets a conflict.
         pending: dict[int, int] = {}
         queue: list[int] = []
-        wprod = self.one
+        wprod = one
         for lit in itertools.chain(units, prep.units):
             v = abs(lit)
             prev = pending.get(v)
             if prev is None:
-                w = self.w_of(lit)
-                if self._is_zero(w):
+                w = self.nonunit.get(lit, one)
+                if w is None:
                     return self.zero
+                if w is not one:
+                    wprod = wprod * w
                 pending[v] = lit
-                wprod = wprod * w
                 queue.append(lit)
             elif prev != lit:
                 return self.zero
         # variables absent from every clause and not pinned by a unit are free
-        outside = self.one
+        outside = one
         for v in prep.absent:
             if v not in pending:
                 outside = outside * self.free_factor[v]
         wprod = self._propagate(mask, forms, occn, pending, queue, wprod)
         if wprod is None:
             return self.zero
-        return outside * wprod * self._cached_solve(mask, forms, occn)
+        return outside * wprod * self._search(mask, forms, occn)
 
     def _check_budget(self):
         if self.deadline is not None and time.monotonic() > self.deadline:
@@ -230,9 +265,8 @@ class _Solver:
         forms_get = forms.get
         forms_pop = forms.pop
         pending_get = pending.get
-        wpos = self.wpos
-        wneg = self.wneg
-        exact = self.exact
+        nonunit_get = self.nonunit.get
+        one = self.one
         props = 0
         qi = 0
         while qi < len(queue):
@@ -275,12 +309,13 @@ class _Solver:
                     v2 = l2 if l2 > 0 else -l2
                     prev = pending_get(v2)
                     if prev is None:
-                        w2 = wpos[l2] if l2 > 0 else wneg[-l2]
-                        if w2.is_zero() if exact else w2 == 0.0:
-                            self.stats.propagations += props
-                            return None
+                        w2 = nonunit_get(l2, one)
+                        if w2 is not one:
+                            if w2 is None:
+                                self.stats.propagations += props
+                                return None
+                            wprod = wprod * w2
                         pending[v2] = l2
-                        wprod = wprod * w2
                         queue.append(l2)
                     elif prev != l2:
                         self.stats.propagations += props
@@ -289,58 +324,77 @@ class _Solver:
         self.stats.propagations += props
         return wprod
 
-    def _cached_solve(self, mask, forms, occn):
-        if 1 not in mask:
-            return self.one
-        # The mask bytes identify the active set; the (small) dict of
-        # shortened forms identifies every modification.  Together they
-        # pin the residual formula exactly.
-        flat = array("q")
-        for cid in sorted(forms):
-            flat.append(cid)
-            form = forms[cid]
-            flat.append(len(form))
-            flat.extend(form)
-        key = blake2b(bytes(mask) + flat.tobytes(), digest_size=16).digest()
-        cached = self.cache.get(key)
-        if cached is not None:
-            self.stats.cache_hits += 1
-            return cached
-        value = self._solve_node(mask, forms, occn)
-        if len(self.cache) >= DEFAULT_CACHE_CAP:
-            # dropping everything keeps behaviour deterministic and can
-            # only cost time, never correctness
-            self.cache.clear()
-        self.cache[key] = value
-        self.stats.cache_stores += 1
-        return value
+    def _search(self, mask, forms, occn):
+        """Count the residual (mask, forms, occn): one loop over an explicit
+        stack of open decisions, so the depth of the search is bounded by
+        memory, not by the interpreter's recursion limit.  A residual with
+        no active clause counts one; any other is looked up in the cache,
+        and on a miss becomes an open decision, whose count is stored once
+        both of its branches are counted."""
+        cache = self.cache
+        stats = self.stats
+        stack: list[_Node] = []
+        while True:
+            if 1 not in mask:
+                value = self.one
+            else:
+                key = _residual_key(mask, forms)
+                value = cache.get(key)
+                if value is not None:
+                    stats.cache_hits += 1
+                else:
+                    self._check_budget()
+                    # Branch on the lowest unassigned variable.  Variable
+                    # ids are allocated in formula-construction order,
+                    # which for the circuit encodings follows the gate
+                    # timeline: propagation then pins a complete time
+                    # frame before the next decision, so residuals that
+                    # agree on the frame are identical and collapse in the
+                    # cache.
+                    stats.decisions += 1
+                    stack.append(_Node(key, mask, forms, occn,
+                                       _lowest_active(occn)))
+            # hand each counted residual to its parent decision, until one
+            # has a branch left to descend into
+            while stack:
+                node = stack[-1]
+                if value is not None:
+                    val = node.wprod * value
+                    node.total = val if node.total is None else node.total + val
+                child = self._next_branch(node)
+                if child is not None:
+                    mask, forms, occn = child
+                    break
+                stack.pop()
+                value = self.zero if node.total is None else node.total
+                if len(cache) >= DEFAULT_CACHE_CAP:
+                    # dropping everything keeps behaviour deterministic and
+                    # can only cost time, never correctness
+                    cache.clear()
+                cache[node.key] = value
+                stats.cache_stores += 1
+            else:
+                return value
 
-    def _solve_node(self, mask, forms, occn):
-        self._check_budget()
-        # Branch on the lowest unassigned variable.  Variable ids are
-        # allocated in formula-construction order, which for the circuit
-        # encodings follows the gate timeline: propagation then pins a
-        # complete time frame before the next decision, so residuals that
-        # agree on the frame are identical and collapse in the cache.
-        occ_view = np.frombuffer(occn, dtype=np.int32)
-        best_v = int((occ_view > 0).argmax())
-        self.stats.decisions += 1
-        total = None
-        for lit in (best_v, -best_v):
-            w = self.w_of(lit)
-            if self._is_zero(w):
+    def _next_branch(self, node: _Node):
+        """Assign node's next live branch literal and propagate it.  Returns
+        the branch's residual, with its weight product in node.wprod, or
+        None when both branches are done."""
+        v = node.v
+        while node.side < 2:
+            lit = v if node.side == 0 else -v
+            node.side += 1
+            w = self.nonunit.get(lit, self.one)
+            if w is None:
                 continue
-            mask2 = bytearray(mask)
-            forms2 = dict(forms)
-            occn2 = array("i", occn)
-            wprod = self._propagate(
-                mask2, forms2, occn2, {best_v: lit}, [lit], w
-            )
-            if wprod is None:
-                continue
-            val = wprod * self._cached_solve(mask2, forms2, occn2)
-            total = val if total is None else total + val
-        return self.zero if total is None else total
+            mask = bytearray(node.mask)
+            forms = dict(node.forms)
+            occn = array("i", node.occn)
+            wprod = self._propagate(mask, forms, occn, {v: lit}, [lit], w)
+            if wprod is not None:
+                node.wprod = wprod
+                return mask, forms, occn
+        return None
 
 
 def count(
@@ -365,6 +419,8 @@ def brute_count(f: WeightedCnf):
         raise TooManyVariablesError(
             f"{nv} variables is past the brute-force cap of {MAX_BRUTE_VARS}"
         )
+    import numpy as np  # the counting path never loads numpy; this does
+
     size = 1 << nv
     sat = np.ones(size, dtype=bool)
     idx = np.arange(size, dtype=np.uint32)

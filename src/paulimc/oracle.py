@@ -9,16 +9,22 @@ on purpose.
 Index convention: qubit 1 is the leftmost tensor factor, i.e. the most
 significant bit of the basis-state index.  A circuit's unitary is the
 product of its gate matrices applied right-to-left (first gate rightmost).
+
+numpy is imported on first use, not with the module: the package imports
+the oracle, and `paulimc check`, `encode` and `count` never call it.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .circuits import Circuit
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MAX_UNITARY_QUBITS = 10
 MAX_DECOMPOSE_QUBITS = 6
@@ -44,34 +50,50 @@ class ImaginaryResidueError(OracleError):
     """A quantity that must be real came out with an imaginary part."""
 
 
-_I = np.eye(2, dtype=complex)
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-_H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2.0)
-_S = np.array([[1, 0], [0, 1j]], dtype=complex)
-_T = np.array([[1, 0], [0, np.exp(1j * math.pi / 4)]], dtype=complex)
+@functools.cache
+def _paulis() -> dict[str, np.ndarray]:
+    import numpy as np
 
-PAULI_1Q = {"I": _I, "X": _X, "Y": _Y, "Z": _Z}
+    return {
+        "I": np.eye(2, dtype=complex),
+        "X": np.array([[0, 1], [1, 0]], dtype=complex),
+        "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+        "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+    }
+
+
+@functools.cache
+def _fixed_gates() -> dict[str, np.ndarray]:
+    import numpy as np
+
+    pauli = _paulis()
+    s = np.array([[1, 0], [0, 1j]], dtype=complex)
+    t = np.array([[1, 0], [0, np.exp(1j * math.pi / 4)]], dtype=complex)
+    return {
+        "h": np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2.0),
+        "s": s,
+        "sdg": s.conj().T,
+        "t": t,
+        "tdg": t.conj().T,
+        "x": pauli["X"],
+        "y": pauli["Y"],
+        "z": pauli["Z"],
+    }
+
+
+def __getattr__(name: str):
+    # PAULI_1Q, the one-qubit Pauli matrices by letter, is built on first use
+    if name == "PAULI_1Q":
+        return _paulis()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def single_qubit_matrix(kind: str, angle: float | None = None) -> np.ndarray:
-    if kind == "h":
-        return _H
-    if kind == "s":
-        return _S
-    if kind == "sdg":
-        return _S.conj().T
-    if kind == "t":
-        return _T
-    if kind == "tdg":
-        return _T.conj().T
-    if kind == "x":
-        return _X
-    if kind == "y":
-        return _Y
-    if kind == "z":
-        return _Z
+    fixed = _fixed_gates().get(kind)
+    if fixed is not None:
+        return fixed
+    import numpy as np
+
     if kind == "rx":
         c, s = math.cos(angle / 2), math.sin(angle / 2)
         return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
@@ -86,9 +108,11 @@ def single_qubit_matrix(kind: str, angle: float | None = None) -> np.ndarray:
 
 def pauli_label_matrix(label: str) -> np.ndarray:
     try:
-        mats = [PAULI_1Q[ch] for ch in label]
+        mats = [_paulis()[ch] for ch in label]
     except KeyError as exc:
         raise OracleError(f"bad Pauli label {label!r}") from exc
+    import numpy as np
+
     m = mats[0]
     for factor in mats[1:]:
         m = np.kron(m, factor)
@@ -96,6 +120,8 @@ def pauli_label_matrix(label: str) -> np.ndarray:
 
 
 def _apply_single(u: np.ndarray, g: np.ndarray, j: int, n: int) -> np.ndarray:
+    import numpy as np
+
     pre, post = 1 << (j - 1), 1 << (n - j)
     cols = u.shape[1]
     shaped = u.reshape(pre, 2, post * cols)
@@ -103,6 +129,8 @@ def _apply_single(u: np.ndarray, g: np.ndarray, j: int, n: int) -> np.ndarray:
 
 
 def unitary_of(circuit: Circuit) -> np.ndarray:
+    import numpy as np
+
     n = circuit.num_qubits
     if n > MAX_UNITARY_QUBITS:
         raise TooManyQubitsError(
@@ -138,6 +166,8 @@ def pauli_coefficient(a: np.ndarray, p_label: str, p0_label: str) -> float:
     Computes Tr(P . A P0 A^dag) / 2^n, which must be real for Pauli P, P0
     and unitary A; a non-negligible imaginary residue raises.
     """
+    import numpy as np
+
     n = len(p_label)
     if len(p0_label) != n or a.shape != (1 << n, 1 << n):
         raise DimensionMismatchError("label/operator dimensions disagree")
@@ -150,6 +180,8 @@ def pauli_coefficient(a: np.ndarray, p_label: str, p0_label: str) -> float:
 
 def decompose_in_pauli_basis(m: np.ndarray, cutoff: float = 1e-12) -> dict[str, float]:
     """Expand a Hermitian matrix over Pauli strings; drops |c| <= cutoff."""
+    import numpy as np
+
     dim = m.shape[0]
     n = dim.bit_length() - 1
     if m.shape != (dim, dim) or (1 << n) != dim:
@@ -173,6 +205,8 @@ def decompose_in_pauli_basis(m: np.ndarray, cutoff: float = 1e-12) -> dict[str, 
 
 def equal_up_to_phase(u: np.ndarray, v: np.ndarray, tol: float = 1e-9) -> bool:
     """True iff u = c*v entrywise for some unimodular scalar c."""
+    import numpy as np
+
     if u.shape != v.shape:
         raise DimensionMismatchError(f"shape mismatch {u.shape} vs {v.shape}")
     flat_v = v.ravel()

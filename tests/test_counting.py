@@ -1,3 +1,5 @@
+from array import array
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -15,6 +17,7 @@ from paulimc.counting import (
     PreparedCnf,
     ResourceLimitError,
     TooManyVariablesError,
+    _lowest_active,
     brute_count,
     count,
 )
@@ -202,6 +205,37 @@ def test_prepared_count_rejects_out_of_range_units():
         with pytest.raises(ValueError):
             prepared.count([1, bad])
     assert prepared.count([1]).value == -1.0  # W(a) * W(b), c unbiased
+
+
+@pytest.mark.parametrize("mode", [FLOAT, EXACT])
+def test_zero_and_unit_weights(mode):
+    # weight 0 on a literal that propagation forces, on a branch literal
+    # and on a free variable; weight 1 given explicitly, which must count
+    # as if it were absent
+    w = {FLOAT: float, EXACT: ExactWeight.from_int}[mode]
+    half = 0.5 if mode == FLOAT else ExactWeight(1, 0, 1)
+    cases = [
+        WeightedCnf(3, [(1,), (-1, 2), (2, 3)], {2: w(0), -3: half}, mode),
+        WeightedCnf(3, [(1, 2), (-1, 3)], {1: w(0), -2: half, 3: w(1)}, mode),
+        WeightedCnf(3, [(1, 2)], {3: w(0), -3: w(0), 1: w(1)}, mode),
+        WeightedCnf(2, [(1, 2)], {1: w(1), -1: w(1), 2: half}, mode),
+    ]
+    for f in cases:
+        assert count(f).value == brute_count(f) == enumerate_weighted_count(f)
+    assert count(cases[0]).value == w(0)
+    assert count(cases[2]).value == w(0)
+
+
+@pytest.mark.parametrize("counts, lowest", [
+    ([0, 256, 1], 1),
+    ([0, 0, 65536, 3], 2),
+    ([0, 0, 0, 1 << 24, 0], 3),
+    ([0, 0, 1], 2),
+])
+def test_branch_variable_reads_whole_counts(counts, lowest):
+    # counts whose low byte is zero: a scan of low bytes alone would skip
+    # past them to a higher variable
+    assert _lowest_active(array("i", counts)) == lowest
 
 
 # -- stats and controls ------------------------------------------------------

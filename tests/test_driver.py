@@ -147,6 +147,16 @@ def test_later_mismatch_is_reported_after_an_earlier_timeout():
     assert [r.status for r in full.checks] == ["one"] * 3 + ["mismatch"]
 
 
+def test_deep_chain_needs_no_recursion_limit():
+    # (h; t) x 300 on one qubit: each check runs a search over 2373 and
+    # 2381 decisions, far deeper than a recursive search can go under the
+    # interpreter's default recursion limit
+    c = Circuit(1, tuple(gate(k, 1) for _ in range(300) for k in ("h", "t")))
+    verdict = check_equivalence(c, c)
+    assert verdict.status == EQUIVALENT
+    assert [rec.decisions for rec in verdict.checks] == [2373, 2381]
+
+
 def test_qubit_count_mismatch_raises():
     with pytest.raises(QubitCountMismatchError) as err:
         check_equivalence(Circuit(2, ()), Circuit(3, ()))
