@@ -5,7 +5,8 @@ Injects one delta phase shift into a random mixed-gate circuit and asks
 the checker for a verdict across a log-spaced range of deltas and a few
 tolerance settings.  The interesting readout is the cliff: the count
 coefficient moves by roughly 2*sin(delta/2)^2, so detection dies around
-delta ~ 2*sqrt(epsilon/2).
+delta ~ 2*sqrt(epsilon/2).  Each case is encoded and counted once; the
+tolerances only decide which of its counts pass for 1.
 
     python3 scripts/sensitivity_sweep.py
     python3 scripts/sensitivity_sweep.py --cases 50 --out sens.csv
@@ -19,10 +20,29 @@ import sys
 sys.path.insert(0, "src")
 
 from paulimc.bench import NoEligibleGateError, gen_random_universal, inject_error
-from paulimc.driver import CheckConfig, check_equivalence
+from paulimc.counting import PreparedCnf, ResourceLimitError
+from paulimc.driver import check_order, identity_encoding
+from paulimc.encoder import PauliTerm, check_units
+from paulimc.weights import value_is_one
 
 DELTAS = [1e-2, 1e-3, 1e-4, 3e-5, 1e-5, 3e-6, 1e-6, 1e-7]
 EPSILONS = [1e-6, 1e-9, 1e-12]
+
+
+def check_values(u, v) -> list:
+    """The counts of all 2n checks of u against v; a check that runs out
+    of time is left out, as a timeout never decides a verdict."""
+    enc = identity_encoding(u, v)
+    prepared = PreparedCnf(enc.cnf)
+    n = enc.num_qubits
+    values = []
+    for pauli, qubit in check_order(n):
+        units = check_units(enc, PauliTerm.single(n, qubit, pauli))
+        try:
+            values.append(prepared.count(units).value)
+        except ResourceLimitError:
+            pass
+    return values
 
 
 def main() -> int:
@@ -50,9 +70,10 @@ def main() -> int:
                 continue
             made += 1
             total += 1
+            values = check_values(u, v)
             for eps in EPSILONS:
-                verdict = check_equivalence(u, v, CheckConfig(epsilon=eps))
-                if verdict.status == "not_equivalent":
+                # detected: some completed check does not count to 1
+                if not all(value_is_one(val, eps) for val in values):
                     detected[eps] += 1
         dent = 2 * math.sin(delta / 2) ** 2
         print(f"{delta:9.0e}  "

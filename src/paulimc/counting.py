@@ -13,16 +13,16 @@ normalization, occurrence and weight tables.  Its count(units) runs one
 search, with its own cache, statistics and deadline, on f plus the unit
 literals `units`, queued ahead of f's own unit clauses; search and
 statistics are those of count() on f with those unit clauses placed first.
-The 2n equivalence checks differ only in 4n+1 unit literals, so the driver
+The 2n equivalence checks differ only in 4n unit literals, so the driver
 prepares one formula per verdict.  count(f) is PreparedCnf(f).count().
 
 The residual is not split into connected components, as general-purpose
-counters do: in the encoding every gate's sign clauses link the sign
-variable of one time step to the next, so a check formula's residual stays
-connected.  Over all 2n checks of 15 benchmark pairs per workload (seed
-101), 0 of 727 component scans found more than one component; over 25
-pairs per workload (seed 7919), 1 of 1282 did.  On CNFs that do fall
-apart, counts stay exact; only the number of decisions can grow.
+counters do.  Splitting was dropped when a sign bit chained every time
+step of the encoding to the next, so residuals stayed connected.  The
+encoding now scores signs with a -1 weight per gate, and a probe of its
+residuals on seeded equivalent pairs found 274 of 618 split; whether
+decomposition comes back is for measurement to decide (ROADMAP item 4).
+Counts are exact either way; only the number of decisions can differ.
 
 The count is over *all* declared variables: a variable that drops out of
 the residual without being assigned contributes the factor

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .circuits import Circuit, adjoint, concat, lower
 from .counting import PreparedCnf, ResourceLimitError
-from .encoder import EncodedCircuit, PauliTerm, check_base, check_units, encode_circuit
+from .encoder import EncodedCircuit, PauliTerm, check_units, encode_circuit
 from .weights import as_float, serialize_exact, value_is_one
 
 EQUIVALENT = "equivalent"
@@ -168,7 +168,7 @@ def check_encoding(
     cfg = config or CheckConfig()
     n = enc.num_qubits
     t0 = time.perf_counter()
-    prepared = PreparedCnf(check_base(enc))
+    prepared = PreparedCnf(enc.cnf)
     checks: list[CheckRecord] = []
     for pauli, qubit in check_order(n):
         units = check_units(enc, PauliTerm.single(n, qubit, pauli))

@@ -1,26 +1,28 @@
 """Compilation of Pauli conjugation into weighted CNF.
 
-A signed Pauli string over n qubits lives in 2n+1 bits: per qubit the pair
-(x_j, z_j) selects the letter (00=I, 10=X, 11=Y, 01=Z) and a single bit r
-carries the sign (-1)^r.  Pushing the string through a circuit gate by gate
-gives a single output string for Clifford gates and a weighted sum of
-strings for T/Tdg, rotations and the Toffoli.  Each gate contributes
-clauses relating the bits before and after it, plus branch variables whose
-positive-literal weights (1/sqrt2, cos/sin theta, 1/2) carry the numeric
-factors, so that the weighted model count of
+A Pauli string over n qubits lives in 2n bits: per qubit the pair
+(x_j, z_j) selects the letter (00=I, 10=X, 11=Y, 01=Z).  Pushing the
+string through a circuit gate by gate gives a single output string for
+Clifford gates and a weighted sum of strings for T/Tdg, rotations and the
+Toffoli.  Each gate contributes clauses relating the bits before and after
+it, branch variables whose positive-literal weights (1/sqrt2, cos/sin
+theta, 1/2) carry the numeric factors, and one flip variable f that holds
+exactly when the gate negates the string and weighs -1.  So the weighted
+model count of
 
     input units  ∧  gate clauses  ∧  output projection units
 
-is exactly the coefficient of the projected string in the conjugated
-operator (the sign of a model is folded in through the weight -1 on the
-final sign bit).
+is the sum over paths of branch weights times (-1)^flips: exactly the
+coefficient of the projected string in the conjugated operator.  No sign
+is carried from step to step, so two paths that reach the same letters
+with opposite signs meet in the same residual.
 
 Variable ids are handed out deterministically: step 0 takes
-x(1), z(1), ..., x(n), z(n), r, and every gate then appends its fresh ids
-in a fixed per-kind order.  Bits a gate does not touch keep their ids
-across the step — sharing the id replaces an equality clause.  H touches
-both bits of its qubit but permutes them, so it also allocates nothing and
-just swaps the two ids in the frame.
+x(1), z(1), ..., x(n), z(n), and every gate then appends its fresh ids in
+a fixed per-kind order.  Bits a gate does not touch keep their ids across
+the step — sharing the id replaces an equality clause.  H touches both
+bits of its qubit but permutes them, so it allocates only its flip
+variable and swaps the two ids in the frame.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 
 from .circuits import Circuit, CircuitError
 from .cnf import WeightedCnf
-from .weights import EXACT, FLOAT, HALF, INV_SQRT2, MINUS_ONE, ExactWeight
+from .weights import EXACT, FLOAT, HALF, INV_SQRT2, MINUS_ONE
 
 PAULI_FROM_BITS = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
 BITS_FROM_PAULI = {v: k for k, v in PAULI_FROM_BITS.items()}
@@ -92,9 +94,6 @@ class PauliTerm:
             raise PauliTermError(f"bad Pauli label {label!r}") from exc
         return cls(sign, bits)
 
-    def unsigned(self) -> "PauliTerm":
-        return self if self.sign == 0 else PauliTerm(0, self.bits)
-
 
 def pauli_x(n: int, qubit: int) -> PauliTerm:
     return PauliTerm.single(n, qubit, "X")
@@ -106,18 +105,18 @@ def pauli_z(n: int, qubit: int) -> PauliTerm:
 
 @dataclass(frozen=True)
 class Frame:
-    """Variable ids holding the Pauli string at one time step."""
+    """Variable ids holding the Pauli letters at one time step (the sign
+    is not in the frame: each gate's flip variable scores it)."""
 
     xs: tuple[int, ...]
     zs: tuple[int, ...]
-    r: int
 
 
 @dataclass(frozen=True)
 class EncodedCircuit:
     num_qubits: int
     mode: str
-    cnf: WeightedCnf  # gate clauses and branch weights only, no units
+    cnf: WeightedCnf  # gate clauses, branch and flip weights; no units
     frames: tuple[Frame, ...]  # one per time step, len(gates)+1 entries
 
 
@@ -235,14 +234,9 @@ def _lit(var: int, bit: int) -> int:
     return var if bit else -var
 
 
-def _eq(guard: tuple[int, ...], r: int, r2: int) -> list[tuple[int, ...]]:
-    neg = tuple(-g for g in guard)
-    return [neg + (-r, r2), neg + (r, -r2)]
-
-
-def _neq(guard: tuple[int, ...], r: int, r2: int) -> list[tuple[int, ...]]:
-    neg = tuple(-g for g in guard)
-    return [neg + (r, r2), neg + (-r, -r2)]
+def _and_def(f: int, *guard: int) -> list[tuple[int, ...]]:
+    """f <=> the conjunction of the guard literals."""
+    return [(-f, g) for g in guard] + [(f,) + tuple(-g for g in guard)]
 
 
 def _xor_def(a: int, b: int, c: int) -> list[tuple[int, ...]]:
@@ -258,17 +252,22 @@ class _Builder:
         self.weights: dict[int, object] = {}
         self.xs = [2 * j + 1 for j in range(num_qubits)]
         self.zs = [2 * j + 2 for j in range(num_qubits)]
-        self.r = 2 * num_qubits + 1
-        self.next_var = 2 * num_qubits + 2
+        self.next_var = 2 * num_qubits + 1
         self.frames = [self.snapshot()]
 
     def snapshot(self) -> Frame:
-        return Frame(tuple(self.xs), tuple(self.zs), self.r)
+        return Frame(tuple(self.xs), tuple(self.zs))
 
     def fresh(self) -> int:
         v = self.next_var
         self.next_var += 1
         return v
+
+    def flip(self) -> int:
+        """A fresh variable of weight -1: the gate's sign flip."""
+        f = self.fresh()
+        self.weights[f] = MINUS_ONE if self.mode == EXACT else -1.0
+        return f
 
     def emit(self, cls: list[tuple[int, ...]]) -> None:
         self.clauses.extend(cls)
@@ -283,81 +282,58 @@ class _Builder:
 
     def gate_h(self, j: int) -> None:
         q = j - 1
-        x, z, r = self.xs[q], self.zs[q], self.r
-        r2 = self.fresh()
-        self.emit(_neq((x, z), r, r2))  # Y -> -Y
-        self.emit(_eq((-x,), r, r2))
-        self.emit(_eq((-z,), r, r2))
+        x, z = self.xs[q], self.zs[q]
+        f = self.flip()
+        self.emit(_and_def(f, x, z))  # Y -> -Y
         self.xs[q], self.zs[q] = z, x
-        self.r = r2
 
     def gate_s(self, j: int, dagger: bool) -> None:
         q = j - 1
-        x, z, r = self.xs[q], self.zs[q], self.r
+        x, z = self.xs[q], self.zs[q]
         z2 = self.fresh()
-        r2 = self.fresh()
+        f = self.flip()
         self.emit(_xor_def(z2, x, z))
-        self.emit(_eq((-x,), r, r2))
-        if dagger:
-            # Sdg: X -> -Y is the only flipping input
-            self.emit(_eq((z,), r, r2))
-            self.emit(_neq((x, -z), r, r2))
-        else:
-            # S: Y -> -X
-            self.emit(_eq((-z,), r, r2))
-            self.emit(_neq((x, z), r, r2))
+        # Sdg: X -> -Y;  S: Y -> -X
+        self.emit(_and_def(f, x, -z if dagger else z))
         self.zs[q] = z2
-        self.r = r2
 
     def gate_t(self, j: int, dagger: bool) -> None:
         q = j - 1
-        x, z, r = self.xs[q], self.zs[q], self.r
+        x, z = self.xs[q], self.zs[q]
         z2 = self.fresh()
-        r2 = self.fresh()
+        f = self.flip()
         u = self.fresh()
         self.emit([(-u, x), (u, -x)])  # u <=> x marks the branching inputs
         self.emit([(x, -z, z2), (x, z, -z2)])  # frame z when x=0
-        self.emit(_eq((-x,), r, r2))
         if dagger:
             # Tdg X = (X - Y)/sqrt2, Tdg Y = (X + Y)/sqrt2
-            self.emit(_eq((z,), r, r2))
-            self.emit(_eq((-z2,), r, r2))
-            self.emit(_neq((x, -z, z2), r, r2))
+            self.emit(_and_def(f, x, -z, z2))
         else:
             # T X = (X + Y)/sqrt2, T Y = (Y - X)/sqrt2
-            self.emit(_eq((-z,), r, r2))
-            self.emit(_eq((z2,), r, r2))
-            self.emit(_neq((x, z, -z2), r, r2))
+            self.emit(_and_def(f, x, z, -z2))
         self.weights[u] = self.w_inv_sqrt2()
         self.zs[q] = z2
-        self.r = r2
 
     def gate_cz(self, j: int, k: int) -> None:
         qj, qk = j - 1, k - 1
         xj, zj = self.xs[qj], self.zs[qj]
         xk, zk = self.xs[qk], self.zs[qk]
-        r = self.r
         zj2 = self.fresh()
         zk2 = self.fresh()
-        r2 = self.fresh()
+        f = self.flip()
         self.emit(_xor_def(zj2, zj, xk))
         self.emit(_xor_def(zk2, zk, xj))
-        # sign flips exactly when both x bits are set and z bits differ
-        self.emit(_eq((-xj,), r, r2))
-        self.emit(_eq((-xk,), r, r2))
-        self.emit(_eq((xj, xk, zj, zk), r, r2))
-        self.emit(_eq((xj, xk, -zj, -zk), r, r2))
-        self.emit(_neq((xj, xk, zj, -zk), r, r2))
-        self.emit(_neq((xj, xk, -zj, zk), r, r2))
+        # the sign flips exactly when both x bits are set and z bits differ
+        self.emit([(-f, xj), (-f, xk), (-f, zj, zk), (-f, -zj, -zk),
+                   (f, -xj, -xk, -zj, zk), (f, -xj, -xk, zj, -zk)])
         self.zs[qj] = zj2
         self.zs[qk] = zk2
-        self.r = r2
 
     def gate_rx(self, j: int, theta: float) -> None:
         q = j - 1
-        x, z, r = self.xs[q], self.zs[q], self.r
+        x, z = self.xs[q], self.zs[q]
         x2 = self.fresh()
-        r2 = self.fresh()
+        f = self.flip()
         c = self.fresh()
         u = self.fresh()
         self.emit([(z, -x, x2), (z, x, -x2)])  # frame x when z=0
@@ -367,19 +343,16 @@ class _Builder:
         self.emit([(-u, z), (-u, x, x2), (-u, -x, -x2),
                    (u, -z, -x, x2), (u, -z, x, -x2)])
         # Rx(t): Z -> cos Z - sin Y, Y -> cos Y + sin Z
-        self.emit(_eq((-u,), r, r2))
-        self.emit(_eq((x,), r, r2))
-        self.emit(_neq((u, -x), r, r2))
+        self.emit(_and_def(f, u, -x))
         self.weights[c] = math.cos(theta)
         self.weights[u] = math.sin(theta)
         self.xs[q] = x2
-        self.r = r2
 
     def gate_rz(self, j: int, theta: float) -> None:
         q = j - 1
-        x, z, r = self.xs[q], self.zs[q], self.r
+        x, z = self.xs[q], self.zs[q]
         z2 = self.fresh()
-        r2 = self.fresh()
+        f = self.flip()
         c = self.fresh()
         u = self.fresh()
         self.emit([(x, -z, z2), (x, z, -z2)])
@@ -388,23 +361,19 @@ class _Builder:
         self.emit([(-u, x), (-u, z, z2), (-u, -z, -z2),
                    (u, -x, -z, z2), (u, -x, z, -z2)])
         # Rz(t): X -> cos X + sin Y, Y -> cos Y - sin X
-        self.emit(_eq((-u,), r, r2))
-        self.emit(_eq((-z,), r, r2))
-        self.emit(_neq((u, z), r, r2))
+        self.emit(_and_def(f, u, z))
         self.weights[c] = math.cos(theta)
         self.weights[u] = math.sin(theta)
         self.zs[q] = z2
-        self.r = r2
 
     def gate_ccx(self, c1: int, c2: int, t: int) -> None:
         x1, z1 = self.xs[c1 - 1], self.zs[c1 - 1]
         x2, z2 = self.xs[c2 - 1], self.zs[c2 - 1]
         x3, z3 = self.xs[t - 1], self.zs[t - 1]
-        r = self.r
         z1n = self.fresh()
         z2n = self.fresh()
         x3n = self.fresh()
-        r2 = self.fresh()
+        f = self.flip()
         h = self.fresh()
         invars = (x1, z1, x2, z2, x3, z3)
         outvars = (z1n, z2n, x3n)  # the only bits the gate can change
@@ -422,7 +391,7 @@ class _Builder:
                 sgn, bits = branches[0]
                 for v, b in zip(outvars, bits):
                     self.clauses.append(negcube + (_lit(v, b),))
-                self.emit([negcube + (-r, r2), negcube + (r, -r2)])
+                self.clauses.append(negcube + (-f,))
                 continue
             self.clauses.append(negcube + (h,))
             # The four branch bit-triples form an affine subspace of
@@ -457,15 +426,11 @@ class _Builder:
                 guard = negcube + tuple(
                     -_lit(v, b) for v, b in zip(outvars, bits)
                 )
-                if sgn > 0:
-                    self.emit([guard + (-r, r2), guard + (r, -r2)])
-                else:
-                    self.emit([guard + (r, r2), guard + (-r, -r2)])
+                self.clauses.append(guard + ((f,) if sgn < 0 else (-f,)))
         self.weights[h] = self.w_half()
         self.zs[c1 - 1] = z1n
         self.zs[c2 - 1] = z2n
         self.xs[t - 1] = x3n
-        self.r = r2
 
 
 def infer_mode(circuit: Circuit) -> str:
@@ -537,7 +502,10 @@ def encode_circuit(circuit: Circuit, mode: str = "auto") -> EncodedCircuit:
 
 
 def initial_units(enc: EncodedCircuit, p0: PauliTerm) -> list[tuple[int]]:
-    """Unit clauses pinning the step-0 string (and its sign bit) to p0."""
+    """Unit clauses pinning the step-0 letters to p0, which must be
+    unsigned: no variable holds an input sign."""
+    if p0.sign != 0:
+        raise PauliTermError("initial string must be an unsigned Pauli string")
     if p0.num_qubits != enc.num_qubits:
         raise PauliTermError(
             f"Pauli term is on {p0.num_qubits} qubits, circuit on {enc.num_qubits}"
@@ -548,13 +516,12 @@ def initial_units(enc: EncodedCircuit, p0: PauliTerm) -> list[tuple[int]]:
         xb, zb = p0.bits[q]
         units.append((_lit(frame.xs[q], xb),))
         units.append((_lit(frame.zs[q], zb),))
-    units.append((_lit(frame.r, p0.sign),))
     return units
 
 
 def projection_units(enc: EncodedCircuit, p: PauliTerm) -> list[tuple[int]]:
-    """Unit clauses pinning the final string's letter bits (never its sign:
-    the sign bit stays free and is scored by the weight -1 on r(m))."""
+    """Unit clauses pinning the final string's letter bits; the sign of a
+    path is scored by the flip weights, never pinned."""
     if p.sign != 0:
         raise PauliTermError("projection must be an unsigned Pauli string")
     if p.num_qubits != enc.num_qubits:
@@ -570,20 +537,12 @@ def projection_units(enc: EncodedCircuit, p: PauliTerm) -> list[tuple[int]]:
     return units
 
 
-def check_base(enc: EncodedCircuit) -> WeightedCnf:
-    """What every check formula shares: the gate clauses and branch weights,
-    plus the weight -1 on the final sign bit r(m)."""
-    weights = dict(enc.cnf.weights)
-    weights[enc.frames[-1].r] = MINUS_ONE if enc.mode == EXACT else -1.0
-    return WeightedCnf(enc.cnf.num_vars, enc.cnf.clauses, weights, enc.mode)
-
-
 def check_units(
     enc: EncodedCircuit,
     p0: PauliTerm,
     project: PauliTerm | None = None,
 ) -> list[int]:
-    """The 4n+1 unit literals that make check_base one check: the initial
+    """The 4n unit literals that make enc.cnf one check: the initial
     units, then the projection units.
 
     `project` defaults to p0 itself (the diagonal coefficient that must be
@@ -591,7 +550,7 @@ def check_units(
     coefficient of the conjugated operator.
     """
     if project is None:
-        project = p0.unsigned()
+        project = p0
     units = initial_units(enc, p0) + projection_units(enc, project)
     return [lit for (lit,) in units]
 
@@ -601,10 +560,10 @@ def assemble_check(
     p0: PauliTerm,
     project: PauliTerm | None = None,
 ) -> WeightedCnf:
-    """Full formula for one count, check_base with check_units as clauses:
+    """Full formula for one count, enc.cnf with check_units as clauses:
     the initial units, the gate clauses, then the projection units."""
-    f = check_base(enc)
     units = [(lit,) for lit in check_units(enc, p0, project)]
-    k = 2 * enc.num_qubits + 1  # the initial units
-    f.clauses = units[:k] + f.clauses + units[k:]
-    return f
+    k = 2 * enc.num_qubits  # the initial units
+    clauses = units[:k] + enc.cnf.clauses + units[k:]
+    return WeightedCnf(enc.cnf.num_vars, clauses, dict(enc.cnf.weights),
+                       enc.mode)

@@ -1,4 +1,4 @@
-"""End-to-end acceptance gate: eight criteria, one test each.
+"""End-to-end acceptance gate: nine criteria, one test each.
 
 Every test prints a single `ACCEPTANCE <k> (<label>): PASS` line once its
 assertions hold (visible under pytest -s; pytest -v shows the per-test
@@ -19,7 +19,7 @@ from paulimc.bench import (
     gen_random_universal,
     inject_error,
 )
-from paulimc.circuits import Circuit, gate, lower
+from paulimc.circuits import Circuit, concat, gate, lower
 from paulimc.cnf import WeightedCnf
 from paulimc.counting import brute_count, count
 from paulimc.driver import (
@@ -360,3 +360,44 @@ def test_acceptance_8_large_clifford_t():
     assert flip_elapsed < 10.0, f"flipped cnot took {flip_elapsed:.1f}s"
     print(f"ACCEPTANCE 8 (20 qubits x 200 gates, equivalent in "
           f"{same_elapsed:.1f}s, refuted in {flip_elapsed:.1f}s): PASS")
+
+
+def _toffoli_compiled(a, b, c, t_on_a="t"):
+    """The Toffoli with controls a, b and target c in 15 Clifford+T gates
+    (Nielsen & Chuang, Fig. 4.9); t_on_a="tdg" breaks it on purpose."""
+    return (
+        gate("h", c), gate("cx", b, c), gate("tdg", c), gate("cx", a, c),
+        gate("t", c), gate("cx", b, c), gate("tdg", c), gate("cx", a, c),
+        gate("t", b), gate("t", c), gate("h", c), gate("cx", a, b),
+        gate(t_on_a, a), gate("tdg", b), gate("cx", a, b),
+    )
+
+
+def test_acceptance_9_toffoli_compiled():
+    """A native ccx against its Clifford+T compilation: alone on 3 qubits,
+    and on permuted qubits inside a 5-qubit random Clifford+T circuit.  The
+    faithful compilation is equivalent; with its `t` on the first control
+    turned into `tdg` it is not.  Every label is confirmed by the dense
+    oracle."""
+    t0 = time.perf_counter()
+    cases = []
+    for t_on_a, want in (("t", EQUIVALENT), ("tdg", NOT_EQUIVALENT)):
+        u = Circuit(3, (gate("ccx", 1, 2, 3),))
+        v = Circuit(3, _toffoli_compiled(1, 2, 3, t_on_a))
+        cases.append((u, v, want))
+        before = gen_random_clifford_t(5, 12, seed=9090)
+        after = gen_random_clifford_t(5, 12, seed=9091)
+        u = concat(concat(before, Circuit(5, (gate("ccx", 4, 1, 5),))), after)
+        v = concat(concat(before, Circuit(5, _toffoli_compiled(4, 1, 5, t_on_a))),
+                   after)
+        cases.append((u, v, want))
+    for u, v, want in cases:
+        same = equal_up_to_phase(unitary_of(u), unitary_of(v))
+        assert same == (want == EQUIVALENT)
+        verdict = check_equivalence(u, v)
+        assert verdict.mode == "exact"
+        assert verdict.status == want, (u.num_qubits, want, verdict.status)
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 60.0, f"Toffoli-compiled pairs took {elapsed:.1f}s"
+    print(f"ACCEPTANCE 9 (Toffoli against its Clifford+T form, "
+          f"{len(cases)} pairs, {elapsed:.1f}s): PASS")

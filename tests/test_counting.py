@@ -320,48 +320,48 @@ _ONE = "(1+0*sqrt2)/2^0"
 _ZERO = "(0+0*sqrt2)/2^0"
 PINNED_SEARCH = {
     "clifford_t_equivalent": [
-        ("X1", _ONE, 1, 375, 0, 1),
-        ("Z1", _ONE, 1, 300, 0, 1),
-        ("X2", _ONE, 1, 353, 0, 1),
-        ("Z2", _ONE, 0, 257, 0, 0),
-        ("X3", _ONE, 1, 375, 0, 1),
-        ("Z3", _ONE, 1, 300, 0, 1),
-        ("X4", _ONE, 28, 984, 21, 28),
-        ("Z4", _ONE, 0, 257, 0, 0),
-        ("X5", _ONE, 0, 257, 0, 0),
-        ("Z5", _ONE, 20, 1108, 13, 20),
-        ("X6", _ONE, 12, 914, 5, 12),
-        ("Z6", _ONE, 0, 257, 0, 0),
-        ("X7", _ONE, 7, 806, 2, 7),
-        ("Z7", _ONE, 1, 343, 0, 1),
+        ("X1", _ONE, 1, 274, 0, 1),
+        ("Z1", _ONE, 1, 259, 0, 1),
+        ("X2", _ONE, 1, 261, 0, 1),
+        ("Z2", _ONE, 0, 256, 0, 0),
+        ("X3", _ONE, 1, 274, 0, 1),
+        ("Z3", _ONE, 1, 259, 0, 1),
+        ("X4", _ONE, 16, 332, 13, 16),
+        ("Z4", _ONE, 0, 256, 0, 0),
+        ("X5", _ONE, 0, 256, 0, 0),
+        ("Z5", _ONE, 12, 371, 9, 12),
+        ("X6", _ONE, 8, 347, 5, 8),
+        ("Z6", _ONE, 0, 256, 0, 0),
+        ("X7", _ONE, 5, 335, 2, 5),
+        ("Z7", _ONE, 1, 266, 0, 1),
     ],
     "clifford_t_flipped_cx": [
-        ("X1", _ZERO, 0, 100, 0, 0),
-        ("Z1", _ZERO, 0, 71, 0, 0),
-        ("X2", _ONE, 1, 289, 0, 1),
-        ("Z2", _ZERO, 0, 85, 0, 0),
-        ("X3", _ONE, 0, 223, 0, 0),
-        ("Z3", _ONE, 0, 223, 0, 0),
-        ("X4", _ONE, 7, 628, 1, 7),
-        ("Z4", _ONE, 6, 530, 1, 6),
-        ("X5", _ONE, 10, 825, 5, 10),
-        ("Z5", _ONE, 2, 371, 0, 2),
-        ("X6", _ZERO, 0, 111, 0, 0),
-        ("Z6", _ZERO, 0, 87, 0, 0),
+        ("X1", _ZERO, 0, 185, 0, 0),
+        ("Z1", _ZERO, 0, 135, 0, 0),
+        ("X2", _ONE, 1, 227, 0, 1),
+        ("Z2", _ZERO, 0, 161, 0, 0),
+        ("X3", _ONE, 0, 222, 0, 0),
+        ("Z3", _ONE, 0, 222, 0, 0),
+        ("X4", _ONE, 6, 273, 2, 6),
+        ("Z4", _ONE, 5, 249, 2, 5),
+        ("X5", _ONE, 7, 332, 4, 7),
+        ("Z5", _ONE, 2, 238, 0, 2),
+        ("X6", _ZERO, 0, 210, 0, 0),
+        ("Z6", _ZERO, 0, 167, 0, 0),
     ],
     "float_ccx_phase_shift": [
-        ("X1", 0.9999999999999998, 1, 130, 0, 1),
-        ("Z1", 1.0, 0, 97, 0, 0),
-        ("X2", 1.0, 7, 314, 0, 7),
-        ("Z2", 1.0, 0, 97, 0, 0),
-        ("X3", 1.0, 0, 97, 0, 0),
-        ("Z3", 1.0, 3, 214, 0, 3),
-        ("X4", 0.999999995, 1, 116, 0, 1),
-        ("Z4", 0.9999999999009526, 8, 261, 1, 8),
-        ("X5", 1.0, 0, 97, 0, 0),
-        ("Z5", 1.0, 0, 97, 0, 0),
-        ("X6", 0.9999999999999998, 7, 295, 0, 7),
-        ("Z6", 1.0, 0, 97, 0, 0),
+        ("X1", 0.9999999999999998, 1, 112, 0, 1),
+        ("Z1", 1.0, 0, 96, 0, 0),
+        ("X2", 1.0, 4, 134, 3, 4),
+        ("Z2", 1.0, 0, 96, 0, 0),
+        ("X3", 1.0, 0, 96, 0, 0),
+        ("Z3", 1.0, 3, 123, 0, 3),
+        ("X4", 0.999999995, 1, 102, 0, 1),
+        ("Z4", 0.9999999999009526, 6, 153, 3, 6),
+        ("X5", 1.0, 0, 96, 0, 0),
+        ("Z5", 1.0, 0, 96, 0, 0),
+        ("X6", 0.9999999999999998, 4, 135, 3, 4),
+        ("Z6", 1.0, 0, 96, 0, 0),
     ],
 }
 

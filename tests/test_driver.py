@@ -148,13 +148,13 @@ def test_later_mismatch_is_reported_after_an_earlier_timeout():
 
 
 def test_deep_chain_needs_no_recursion_limit():
-    # (h; t) x 300 on one qubit: each check runs a search over 2373 and
-    # 2381 decisions, far deeper than a recursive search can go under the
-    # interpreter's default recursion limit
+    # (h; t) x 300 on one qubit: each check runs a search over 1190 and
+    # 1194 decisions with about 600 open at once, deeper than a recursive
+    # search can go under the interpreter's default recursion limit
     c = Circuit(1, tuple(gate(k, 1) for _ in range(300) for k in ("h", "t")))
     verdict = check_equivalence(c, c)
     assert verdict.status == EQUIVALENT
-    assert [rec.decisions for rec in verdict.checks] == [2373, 2381]
+    assert [rec.decisions for rec in verdict.checks] == [1190, 1194]
 
 
 def test_qubit_count_mismatch_raises():

@@ -38,7 +38,6 @@ def test_pauli_term_labels():
     assert p.label == "XIZ"
     assert PauliTerm.from_label("-YX").label == "-YX"
     assert PauliTerm.from_label("+Z").label == "Z"
-    assert PauliTerm.from_label("-Y").unsigned().label == "Y"
 
 
 def test_pauli_term_constructors():
@@ -64,25 +63,25 @@ def test_pauli_term_validation():
 
 def test_initial_units_x1_single_qubit():
     enc = encode_circuit(Circuit(1))
-    assert initial_units(enc, pauli_x(1, 1)) == [(1,), (-2,), (-3,)]
+    assert initial_units(enc, pauli_x(1, 1)) == [(1,), (-2,)]
 
 
 def test_initial_units_z2_two_qubits():
     enc = encode_circuit(Circuit(2))
-    assert initial_units(enc, pauli_z(2, 2)) == [
-        (-1,), (-2,), (-3,), (4,), (-5,)
-    ]
+    assert initial_units(enc, pauli_z(2, 2)) == [(-1,), (-2,), (-3,), (4,)]
 
 
 def test_initial_units_zx_pattern():
     enc = encode_circuit(Circuit(2))
     got = initial_units(enc, PauliTerm.from_label("ZX"))
-    assert got == [(-1,), (2,), (3,), (-4,), (-5,)]
+    assert got == [(-1,), (2,), (3,), (-4,)]
 
 
 def test_initial_units_signed():
+    # no variable holds an input sign, so a signed p0 is refused
     enc = encode_circuit(Circuit(1))
-    assert initial_units(enc, PauliTerm.from_label("-X")) == [(1,), (-2,), (3,)]
+    with pytest.raises(PauliTermError):
+        initial_units(enc, PauliTerm.from_label("-X"))
 
 
 def test_projection_units_pin_letters_never_sign():
@@ -90,7 +89,8 @@ def test_projection_units_pin_letters_never_sign():
     units = projection_units(enc, pauli_x(1, 1))
     final = enc.frames[-1]
     assert units == [(final.xs[0],), (-final.zs[0],)]
-    assert all(abs(lit[0]) != final.r for lit in units)
+    # the weighted branch and flip variables are never pinned
+    assert all(abs(lit[0]) not in enc.cnf.weights for lit in units)
 
 
 def test_projection_rejects_signed_terms():
@@ -116,13 +116,16 @@ def test_frozen_variable_layout_ttsdg():
     enc = encode_circuit(TTSDG)
     assert enc.mode == EXACT
     frames = enc.frames
-    assert frames[0].xs == (1,) and frames[0].zs == (2,) and frames[0].r == 3
-    assert frames[1].zs == (4,) and frames[1].r == 5
-    assert frames[2].zs == (7,) and frames[2].r == 8
-    assert frames[3].zs == (10,) and frames[3].r == 11
+    assert frames[0].xs == (1,) and frames[0].zs == (2,)
+    assert frames[1].zs == (3,)
+    assert frames[2].zs == (6,)
+    assert frames[3].zs == (9,)
     assert all(f.xs == (1,) for f in frames)  # t/sdg never touch the x bit
-    assert enc.cnf.num_vars == 11
-    assert enc.cnf.weights == {6: INV_SQRT2, 9: INV_SQRT2}
+    assert enc.cnf.num_vars == 10
+    # each gate's flip variable weighs -1; each t's branch 1/sqrt2
+    assert enc.cnf.weights == {
+        4: MINUS_ONE, 5: INV_SQRT2, 7: MINUS_ONE, 8: INV_SQRT2, 10: MINUS_ONE
+    }
 
 
 @given(native_circuits(max_qubits=3, max_gates=10))
@@ -132,16 +135,16 @@ def test_ids_fresh_and_monotone(c):
     seen_max = 0
     prev_ids: set[int] = set()
     for frame in enc.frames:
-        ids = set(frame.xs) | set(frame.zs) | {frame.r}
-        assert len(ids) == 2 * c.num_qubits + 1
+        ids = set(frame.xs) | set(frame.zs)
+        assert len(ids) == 2 * c.num_qubits
         for v in ids:
             # every id either survives from the previous step or is fresh,
             # i.e. larger than everything allocated so far
             assert v in prev_ids or v > seen_max
         seen_max = max(seen_max, *ids)
         prev_ids = ids
-    # branch variables (the weighted u/c/h ids) live between frames, so the
-    # frame maximum is a lower bound on the allocation counter
+    # branch and flip variables (the weighted u/c/h/f ids) live between
+    # frames, so the frame maximum is a lower bound on the allocation counter
     assert enc.cnf.num_vars >= seen_max
     enc.cnf.validate()
 
@@ -206,18 +209,22 @@ def test_single_t_x_check_is_inv_sqrt2():
 
 
 def test_signed_input_flips_the_count():
+    # a signed input string is refused, not folded in: no variable holds
+    # it (negative counts stay covered by test_toffoli_branching_row_signs)
     enc = encode_circuit(Circuit(1, (gate("t", 1),)))
-    f = assemble_check(enc, PauliTerm.from_label("-X"), pauli_x(1, 1))
-    assert count(f).value == -INV_SQRT2
+    with pytest.raises(PauliTermError):
+        assemble_check(enc, PauliTerm.from_label("-X"), pauli_x(1, 1))
 
 
 def test_assemble_weights_only_touch_final_sign():
     enc = encode_circuit(TTSDG)
     f = assemble_check(enc, pauli_x(1, 1))
-    assert f.weights[enc.frames[-1].r] == MINUS_ONE
-    assert set(f.weights) == {6, 9, 11}
+    # the weights are the branch and flip weights of the gates, nothing else
+    assert f.weights == enc.cnf.weights
+    assert set(f.weights) == {4, 5, 7, 8, 10}
     # the base encoding is not mutated by assembling checks from it
-    assert enc.frames[-1].r not in enc.cnf.weights
+    f.weights[1] = MINUS_ONE
+    assert 1 not in enc.cnf.weights
 
 
 def test_cz_maps_ix_to_zx():
