@@ -18,7 +18,6 @@ from .circuits import (
     adjoint,
     concat,
     gate,
-    is_native,
     lower,
     parse_qasm,
     to_qasm,
@@ -43,7 +42,6 @@ from .driver import (
     Verdict,
     Witness,
     check_equivalence,
-    check_identity,
     check_order,
 )
 from .encoder import (
@@ -52,8 +50,6 @@ from .encoder import (
     PauliTerm,
     assemble_check,
     encode_circuit,
-    pauli_x,
-    pauli_z,
 )
 from .oracle import (
     OracleError,
@@ -85,7 +81,6 @@ __all__ = [
     "adjoint",
     "concat",
     "gate",
-    "is_native",
     "lower",
     "parse_qasm",
     "to_qasm",
@@ -110,15 +105,12 @@ __all__ = [
     "Verdict",
     "Witness",
     "check_equivalence",
-    "check_identity",
     "check_order",
     "EncodedCircuit",
     "NonNativeGateError",
     "PauliTerm",
     "assemble_check",
     "encode_circuit",
-    "pauli_x",
-    "pauli_z",
     "OracleError",
     "TooManyQubitsError",
     "decompose_in_pauli_basis",

@@ -29,9 +29,6 @@ GATE_ARITY = {
 
 ROTATION_KINDS = frozenset({"rx", "rz", "p"})
 
-#: gate kinds the CNF encoder accepts directly
-NATIVE_KINDS = frozenset({"h", "s", "sdg", "t", "tdg", "cz", "ccx", "rx", "rz"})
-
 _SELF_ADJOINT = {"h", "x", "y", "z", "cx", "cz", "ccx"}
 _ADJOINT_SWAP = {"s": "sdg", "sdg": "s", "t": "tdg", "tdg": "t"}
 
@@ -201,15 +198,13 @@ def lower(circuit: Circuit) -> Circuit:
     return Circuit(circuit.num_qubits, tuple(out))
 
 
-def is_native(circuit: Circuit) -> bool:
-    return all(g.kind in NATIVE_KINDS for g in circuit.gates)
-
-
 # -- OpenQASM 2 subset ---------------------------------------------------
 
 _QASM_ALIASES = {"u1": "p"}
 
-_TOKEN_RE = re.compile(r"\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+|\d+|pi|[()*/+-]")
+_TOKEN_RE = re.compile(
+    r"\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|pi|[()*/+-]"
+)
 
 
 def _eval_angle(expr: str, line: int) -> float:

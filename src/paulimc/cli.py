@@ -35,10 +35,11 @@ from .driver import (
     check_encoding,
     check_order,
     identity_encoding,
+    render_value,
 )
 from .encoder import PauliTerm, assemble_check
 from .oracle import OracleError, TooManyQubitsError, equal_up_to_phase, unitary_of
-from .weights import EXACT, as_float, serialize_exact
+from .weights import EXACT, as_float
 
 
 class _Parser(argparse.ArgumentParser):
@@ -80,11 +81,7 @@ def _load_circuit(path: str):
 
 
 def _format_value(v) -> str:
-    if v is None:
-        return "-"
-    if isinstance(v, float):
-        return repr(v)
-    return serialize_exact(v)
+    return "-" if v is None else str(render_value(v))
 
 
 def _verdict_exit(status: str) -> int:
@@ -149,12 +146,9 @@ def _cmd_count(args) -> int:
     except ResourceLimitError:
         print(f"error: timeout: exceeded {args.timeout}s", file=sys.stderr)
         return 2
-    value = result.value
+    print(f"count: {_format_value(result.value)}")
     if formula.mode == EXACT:
-        print(f"count: {serialize_exact(value)}")
-        print(f"float: {as_float(value)!r}")
-    else:
-        print(f"count: {value!r}")
+        print(f"float: {as_float(result.value)!r}")
     if args.stats:
         s = result.stats
         print(f"decisions: {s.decisions}")

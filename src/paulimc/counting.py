@@ -21,7 +21,7 @@ counters do.  Splitting was dropped when a sign bit chained every time
 step of the encoding to the next, so residuals stayed connected.  The
 encoding now scores signs with a -1 weight per gate, and a probe of its
 residuals on seeded equivalent pairs found 274 of 618 split; whether
-decomposition comes back is for measurement to decide (ROADMAP item 4).
+decomposition comes back is for measurement to decide.
 Counts are exact either way; only the number of decisions can differ.
 
 The count is over *all* declared variables: a variable that drops out of

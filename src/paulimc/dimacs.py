@@ -13,7 +13,8 @@ tests rely on.
 
 Exact (ring-valued) weights cannot survive a decimal rendering, so
 save_cnf() writes `<stem>.weights.json` next to an exact formula with the
-(a, b, k) integer triples; load_cnf() picks the sidecar up again.  parse()
+(a, b, k) integer triples, one per line; load_cnf() picks the sidecar up
+again and rejects an entry that is not three integers.  parse()
 alone always yields a float-mode formula.
 """
 
@@ -136,13 +137,10 @@ def save_cnf(f: WeightedCnf, path) -> Path:
     path.write_text(emit(f), encoding="ascii")
     side = sidecar_path(path)
     if f.mode == EXACT:
-        payload = {
-            "mode": "exact",
-            "weights": {
-                str(lit): [w.a, w.b, w.k] for lit, w in f.weights.items()
-            },
-        }
-        side.write_text(json.dumps(payload, indent=1) + "\n", encoding="ascii")
+        rows = ",\n".join(f'"{lit}": [{w.a}, {w.b}, {w.k}]'
+                           for lit, w in f.weights.items())
+        side.write_text('{"mode": "exact", "weights": {\n' + rows + "\n}}\n",
+                        encoding="ascii")
     elif side.exists():
         os.remove(side)  # don't leave a stale sidecar lying next to floats
     return path
@@ -156,12 +154,12 @@ def load_cnf(path) -> WeightedCnf:
         return f
     try:
         payload = json.loads(side.read_text(encoding="ascii"))
-        entries = payload["weights"]
-        exact_weights = {
-            int(lit): ExactWeight(a, b, k)
-            for lit, (a, b, k) in entries.items()
-        }
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+        exact_weights = {}
+        for lit, abk in payload["weights"].items():
+            if len(abk) != 3 or any(type(v) is not int for v in abk):
+                raise ValueError(f"weight of {lit} is not three integers: {abk!r}")
+            exact_weights[int(lit)] = ExactWeight(*abk)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad weight sidecar {side.name}: {exc}") from exc
     for lit in f.weights:
         if lit not in exact_weights:

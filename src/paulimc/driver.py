@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .circuits import Circuit, adjoint, concat, lower
 from .counting import PreparedCnf, ResourceLimitError
 from .encoder import EncodedCircuit, PauliTerm, check_units, encode_circuit
-from .weights import as_float, serialize_exact, value_is_one
+from .weights import ExactWeight, as_float, serialize_exact, value_is_one
 
 EQUIVALENT = "equivalent"
 NOT_EQUIVALENT = "not_equivalent"
@@ -53,6 +53,14 @@ class CheckConfig:
             raise ValueError("count_timeout must be positive")
 
 
+def render_value(v):
+    """A count as reported: a float as is, except that a zero prints as
+    0.0 whatever its sign; an exact weight serialized; None stays None."""
+    if isinstance(v, float):
+        return 0.0 if v == 0 else v
+    return None if v is None else serialize_exact(v)
+
+
 @dataclass(frozen=True)
 class Witness:
     pauli: str  # "X" or "Z"
@@ -73,7 +81,6 @@ class CheckRecord:
     cache_stores: int = 0
 
     def to_dict(self) -> dict:
-        val = self.value
         out = {
             "pauli": self.pauli,
             "qubit": self.qubit,
@@ -83,14 +90,10 @@ class CheckRecord:
             "propagations": self.propagations,
             "cache_hits": self.cache_hits,
             "cache_stores": self.cache_stores,
+            "value": render_value(self.value),
         }
-        if val is None:
-            out["value"] = None
-        elif isinstance(val, float):
-            out["value"] = val
-        else:
-            out["value"] = serialize_exact(val)
-            out["value_float"] = as_float(val)
+        if isinstance(self.value, ExactWeight):
+            out["value_float"] = as_float(self.value)
         return out
 
 
@@ -116,11 +119,10 @@ class Verdict:
         if self.witness is None:
             out["witness"] = None
         else:
-            val = self.witness.value
             out["witness"] = {
                 "pauli": self.witness.pauli,
                 "qubit": self.witness.qubit,
-                "value": val if isinstance(val, float) else serialize_exact(val),
+                "value": render_value(self.witness.value),
             }
         return out
 
@@ -182,11 +184,6 @@ def check_encoding(
     if any(rec.status == "timeout" for rec in checks):
         return Verdict(UNKNOWN, None, checks, enc.mode, elapsed)
     return Verdict(EQUIVALENT, None, checks, enc.mode, elapsed)
-
-
-def check_identity(a: Circuit, config: CheckConfig | None = None) -> Verdict:
-    """Decide whether a circuit's unitary is the identity up to phase."""
-    return check_encoding(encode_circuit(lower(a)), config)
 
 
 def check_equivalence(

@@ -49,14 +49,13 @@ class PauliTermError(ValueError):
 
 @dataclass(frozen=True)
 class PauliTerm:
-    """(-1)^sign * sigma[x_1,z_1] (x) ... (x) sigma[x_n,z_n]."""
+    """sigma[x_1,z_1] (x) ... (x) sigma[x_n,z_n], always unsigned: no
+    variable holds an input sign, so a label with a leading - or + is
+    rejected."""
 
-    sign: int
     bits: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        if self.sign not in (0, 1):
-            raise PauliTermError(f"sign bit must be 0/1, got {self.sign!r}")
         for pair in self.bits:
             if pair not in PAULI_FROM_BITS:
                 raise PauliTermError(f"bad (x, z) pair {pair!r}")
@@ -67,12 +66,7 @@ class PauliTerm:
 
     @property
     def label(self) -> str:
-        body = "".join(PAULI_FROM_BITS[p] for p in self.bits)
-        return ("-" if self.sign else "") + body
-
-    @classmethod
-    def identity(cls, n: int) -> "PauliTerm":
-        return cls(0, ((0, 0),) * n)
+        return "".join(PAULI_FROM_BITS[p] for p in self.bits)
 
     @classmethod
     def single(cls, n: int, qubit: int, letter: str) -> "PauliTerm":
@@ -80,27 +74,15 @@ class PauliTerm:
             raise PauliTermError(f"qubit {qubit} outside [1, {n}]")
         bits = [(0, 0)] * n
         bits[qubit - 1] = BITS_FROM_PAULI[letter]
-        return cls(0, tuple(bits))
+        return cls(tuple(bits))
 
     @classmethod
     def from_label(cls, label: str) -> "PauliTerm":
-        sign = 0
-        if label.startswith(("+", "-")):
-            sign = 1 if label[0] == "-" else 0
-            label = label[1:]
         try:
             bits = tuple(BITS_FROM_PAULI[ch] for ch in label)
         except KeyError as exc:
             raise PauliTermError(f"bad Pauli label {label!r}") from exc
-        return cls(sign, bits)
-
-
-def pauli_x(n: int, qubit: int) -> PauliTerm:
-    return PauliTerm.single(n, qubit, "X")
-
-
-def pauli_z(n: int, qubit: int) -> PauliTerm:
-    return PauliTerm.single(n, qubit, "Z")
+        return cls(bits)
 
 
 @dataclass(frozen=True)
@@ -329,42 +311,29 @@ class _Builder:
         self.zs[qj] = zj2
         self.zs[qk] = zk2
 
-    def gate_rx(self, j: int, theta: float) -> None:
+    def gate_rotation(self, j: int, theta: float, axis: str) -> None:
+        """Rx or Rz: the bit o on the rotation's axis (x for Rx, z for Rz)
+        gets a new id o2; the other bit k decides whether the letter
+        branches."""
         q = j - 1
-        x, z = self.xs[q], self.zs[q]
-        x2 = self.fresh()
+        own, other = (self.xs, self.zs) if axis == "x" else (self.zs, self.xs)
+        o, k = own[q], other[q]
+        o2 = self.fresh()
         f = self.flip()
         c = self.fresh()
         u = self.fresh()
-        self.emit([(z, -x, x2), (z, x, -x2)])  # frame x when z=0
-        # c <=> z & (x == x2);  u <=> z & (x != x2)
-        self.emit([(-c, z), (-c, -x, x2), (-c, x, -x2),
-                   (c, -z, -x, -x2), (c, -z, x, x2)])
-        self.emit([(-u, z), (-u, x, x2), (-u, -x, -x2),
-                   (u, -z, -x, x2), (u, -z, x, -x2)])
-        # Rx(t): Z -> cos Z - sin Y, Y -> cos Y + sin Z
-        self.emit(_and_def(f, u, -x))
+        self.emit([(k, -o, o2), (k, o, -o2)])  # frame o when k=0
+        # c <=> k & (o == o2);  u <=> k & (o != o2)
+        self.emit([(-c, k), (-c, -o, o2), (-c, o, -o2),
+                   (c, -k, -o, -o2), (c, -k, o, o2)])
+        self.emit([(-u, k), (-u, o, o2), (-u, -o, -o2),
+                   (u, -k, -o, o2), (u, -k, o, -o2)])
+        # Rx(t): Z -> cos Z - sin Y, Y -> cos Y + sin Z  (flips on input x=0)
+        # Rz(t): X -> cos X + sin Y, Y -> cos Y - sin X  (flips on input z=1)
+        self.emit(_and_def(f, u, -o if axis == "x" else o))
         self.weights[c] = math.cos(theta)
         self.weights[u] = math.sin(theta)
-        self.xs[q] = x2
-
-    def gate_rz(self, j: int, theta: float) -> None:
-        q = j - 1
-        x, z = self.xs[q], self.zs[q]
-        z2 = self.fresh()
-        f = self.flip()
-        c = self.fresh()
-        u = self.fresh()
-        self.emit([(x, -z, z2), (x, z, -z2)])
-        self.emit([(-c, x), (-c, -z, z2), (-c, z, -z2),
-                   (c, -x, -z, -z2), (c, -x, z, z2)])
-        self.emit([(-u, x), (-u, z, z2), (-u, -z, -z2),
-                   (u, -x, -z, z2), (u, -x, z, -z2)])
-        # Rz(t): X -> cos X + sin Y, Y -> cos Y - sin X
-        self.emit(_and_def(f, u, z))
-        self.weights[c] = math.cos(theta)
-        self.weights[u] = math.sin(theta)
-        self.zs[q] = z2
+        own[q] = o2
 
     def gate_ccx(self, c1: int, c2: int, t: int) -> None:
         x1, z1 = self.xs[c1 - 1], self.zs[c1 - 1]
@@ -441,22 +410,16 @@ def infer_mode(circuit: Circuit) -> str:
     return EXACT
 
 
-def encode_circuit(circuit: Circuit, mode: str = "auto") -> EncodedCircuit:
+def encode_circuit(circuit: Circuit) -> EncodedCircuit:
     """Encode the conjugation action of a native-kind circuit.
 
-    The result holds the gate clauses, branch weights and the variable
-    frames for every time step; input/output units are added separately so
-    one encoding serves all 2n equivalence checks.
+    The mode is always infer_mode(circuit): exact ring weights, or floats
+    once rotation gates with arbitrary angles survive lowering.  The
+    result holds the gate clauses, branch weights and the variable frames
+    for every time step; input/output units are added separately so one
+    encoding serves all 2n equivalence checks.
     """
-    if mode == "auto":
-        mode = infer_mode(circuit)
-    if mode not in (EXACT, FLOAT):
-        raise ValueError(f"bad mode {mode!r}")
-    if mode == EXACT and infer_mode(circuit) == FLOAT:
-        raise NonNativeGateError(
-            "circuit has rotation gates with arbitrary angles; "
-            "exact mode cannot represent cos/sin weights"
-        )
+    mode = infer_mode(circuit)
     b = _Builder(circuit.num_qubits, mode)
     for g in circuit.gates:
         if g.kind == "h":
@@ -471,10 +434,8 @@ def encode_circuit(circuit: Circuit, mode: str = "auto") -> EncodedCircuit:
             b.gate_t(g.qubits[0], dagger=True)
         elif g.kind == "cz":
             b.gate_cz(*g.qubits)
-        elif g.kind == "rx":
-            b.gate_rx(g.qubits[0], g.angle)
-        elif g.kind == "rz":
-            b.gate_rz(g.qubits[0], g.angle)
+        elif g.kind in ("rx", "rz"):
+            b.gate_rotation(g.qubits[0], g.angle, g.kind[1])
         elif g.kind == "ccx":
             b.gate_ccx(*g.qubits)
         else:
@@ -483,14 +444,10 @@ def encode_circuit(circuit: Circuit, mode: str = "auto") -> EncodedCircuit:
                 "run lower() first"
             )
         b.frames.append(b.snapshot())
-    if mode == FLOAT:
-        weights = {lit: float(w) for lit, w in b.weights.items()}
-    else:
-        weights = dict(b.weights)
     cnf = WeightedCnf(
         num_vars=b.next_var - 1,
         clauses=b.clauses,
-        weights=weights,
+        weights=b.weights,
         mode=mode,
     )
     return EncodedCircuit(
@@ -501,49 +458,15 @@ def encode_circuit(circuit: Circuit, mode: str = "auto") -> EncodedCircuit:
     )
 
 
-def initial_units(enc: EncodedCircuit, p0: PauliTerm) -> list[tuple[int]]:
-    """Unit clauses pinning the step-0 letters to p0, which must be
-    unsigned: no variable holds an input sign."""
-    if p0.sign != 0:
-        raise PauliTermError("initial string must be an unsigned Pauli string")
-    if p0.num_qubits != enc.num_qubits:
-        raise PauliTermError(
-            f"Pauli term is on {p0.num_qubits} qubits, circuit on {enc.num_qubits}"
-        )
-    frame = enc.frames[0]
-    units = []
-    for q in range(enc.num_qubits):
-        xb, zb = p0.bits[q]
-        units.append((_lit(frame.xs[q], xb),))
-        units.append((_lit(frame.zs[q], zb),))
-    return units
-
-
-def projection_units(enc: EncodedCircuit, p: PauliTerm) -> list[tuple[int]]:
-    """Unit clauses pinning the final string's letter bits; the sign of a
-    path is scored by the flip weights, never pinned."""
-    if p.sign != 0:
-        raise PauliTermError("projection must be an unsigned Pauli string")
-    if p.num_qubits != enc.num_qubits:
-        raise PauliTermError(
-            f"Pauli term is on {p.num_qubits} qubits, circuit on {enc.num_qubits}"
-        )
-    frame = enc.frames[-1]
-    units = []
-    for q in range(enc.num_qubits):
-        xb, zb = p.bits[q]
-        units.append((_lit(frame.xs[q], xb),))
-        units.append((_lit(frame.zs[q], zb),))
-    return units
-
-
 def check_units(
     enc: EncodedCircuit,
     p0: PauliTerm,
     project: PauliTerm | None = None,
 ) -> list[int]:
-    """The 4n unit literals that make enc.cnf one check: the initial
-    units, then the projection units.
+    """The 4n unit literals that make enc.cnf one check: the step-0 letter
+    bits pinned to p0, then the final letter bits pinned to `project`.
+    No variable holds a sign; each path's sign is scored by the flip
+    weights.
 
     `project` defaults to p0 itself (the diagonal coefficient that must be
     1 for equivalence); pass a different string to read off any other
@@ -551,8 +474,17 @@ def check_units(
     """
     if project is None:
         project = p0
-    units = initial_units(enc, p0) + projection_units(enc, project)
-    return [lit for (lit,) in units]
+    if not p0.num_qubits == project.num_qubits == enc.num_qubits:
+        raise PauliTermError(
+            f"Pauli terms on {p0.num_qubits} and {project.num_qubits} "
+            f"qubits, circuit on {enc.num_qubits}"
+        )
+    units = []
+    for frame, p in ((enc.frames[0], p0), (enc.frames[-1], project)):
+        for x, z, (xb, zb) in zip(frame.xs, frame.zs, p.bits):
+            units.append(_lit(x, xb))
+            units.append(_lit(z, zb))
+    return units
 
 
 def assemble_check(

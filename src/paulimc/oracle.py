@@ -81,13 +81,6 @@ def _fixed_gates() -> dict[str, np.ndarray]:
     }
 
 
-def __getattr__(name: str):
-    # PAULI_1Q, the one-qubit Pauli matrices by letter, is built on first use
-    if name == "PAULI_1Q":
-        return _paulis()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 def single_qubit_matrix(kind: str, angle: float | None = None) -> np.ndarray:
     fixed = _fixed_gates().get(kind)
     if fixed is not None:

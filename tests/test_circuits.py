@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 from conftest import full_gateset_circuits
 from paulimc.circuits import (
@@ -15,7 +15,6 @@ from paulimc.circuits import (
     adjoint,
     concat,
     gate,
-    is_native,
     lower,
     parse_qasm,
     to_qasm,
@@ -97,7 +96,8 @@ def test_adjoint_matches_matrix_dagger(c):
 @given(full_gateset_circuits(max_qubits=3, max_gates=8))
 def test_lowering_preserves_unitary_up_to_phase(c):
     low = lower(c)
-    assert is_native(low)
+    native = {"h", "s", "sdg", "t", "tdg", "cz", "ccx", "rx", "rz"}
+    assert {g.kind for g in low.gates} <= native
     assert equal_up_to_phase(unitary_of(low), unitary_of(c), tol=1e-10)
 
 
@@ -226,11 +226,22 @@ def test_parse_error_carries_line_number():
 
 
 def test_bad_angle_expressions():
-    for expr in ("pi/", "(pi", "pi pi", "1..2", ""):
+    for expr in ("pi/", "(pi", "pi pi", "1..2", "", "1e"):
         with pytest.raises(QasmParseError):
             parse_qasm(f"OPENQASM 2.0;\nqreg q[1];\nrz({expr}) q[0];\n")
 
 
+@pytest.mark.parametrize("expr,value", [
+    ("1e-05", 1e-05), ("-1e-07", -1e-07), (".5e1", 5.0), ("2E+1*pi", 20 * math.pi),
+])
+def test_exponent_angles_parse(expr, value):
+    c = parse_qasm(f"OPENQASM 2.0;\nqreg q[1];\nrz({expr}) q[0];\n")
+    assert c.gates[0].angle == value
+
+
 @given(full_gateset_circuits(max_qubits=4, max_gates=10))
+@example(Circuit(1, (gate("rz", 1, angle=1e-05),)))
+@example(Circuit(1, (gate("rx", 1, angle=-1e-07),)))
+@example(Circuit(1, (gate("p", 1, angle=.5e1),)))
 def test_qasm_round_trip(c):
     assert parse_qasm(to_qasm(c)) == c

@@ -6,6 +6,8 @@ import pytest
 from paulimc.bench import gen_random_universal, inject_error
 from paulimc.circuits import Circuit, gate, parse_qasm, to_qasm
 from paulimc.cli import main
+from paulimc.driver import NOT_EQUIVALENT, CheckRecord, Verdict, Witness
+from paulimc.weights import FLOAT
 
 HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";\n'
 
@@ -56,6 +58,28 @@ def test_check_json_report(tt_and_s, capsys):
     for c in report["checks"]:
         for key in ("decisions", "propagations", "cache_hits", "cache_stores"):
             assert isinstance(c[key], int) and c[key] >= 0
+
+
+def test_check_prints_a_negative_zero_as_zero(tt_and_s, monkeypatch, capsys):
+    # a float count of zero can come out as -0.0 depending on search order;
+    # the report must not depend on it
+    def verdict(*args, **kwargs):
+        checks = [CheckRecord("X", 1, "one", 1.0, 0.0),
+                  CheckRecord("Z", 1, "mismatch", -0.0, 0.0)]
+        return Verdict(NOT_EQUIVALENT, Witness("Z", 1, -0.0), checks, FLOAT, 0.0)
+
+    monkeypatch.setattr("paulimc.cli.check_encoding", verdict)
+    u, v = tt_and_s
+    assert main(["check", u, v, "--json"]) == 1
+    out = capsys.readouterr().out
+    assert "-0.0" not in out
+    report = json.loads(out)
+    assert repr(report["witness"]["value"]) == "0.0"
+    assert repr(report["checks"][1]["value"]) == "0.0"
+    assert main(["check", u, v]) == 1
+    out = capsys.readouterr().out
+    assert "witness: Z1 value=0.0\n" in out
+    assert "check: Z1 status=mismatch value=0.0\n" in out
 
 
 def test_check_emit_dimacs_writes_formulas(tt_and_s, tmp_path, capsys):
@@ -210,6 +234,20 @@ def test_count_bad_format(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "error: cnf-format: " in err
     assert "not 0-terminated" in err
+
+
+@pytest.mark.parametrize("entry", ["[0.5, 0, 0]", "[true, 0, 1]"])
+def test_count_rejects_sidecar_entry_not_three_ints(tmp_path, capsys, entry):
+    # both entries agree with the .cnf weight 0.5, so only the type check
+    # keeps them out of the exact ring arithmetic
+    path = tmp_path / "f.cnf"
+    path.write_text("p cnf 1 1\nc p weight 1 0.5 0\n1 0\n")
+    (tmp_path / "f.weights.json").write_text(
+        f'{{"mode": "exact", "weights": {{"1": {entry}}}}}'
+    )
+    assert main(["count", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: cnf-format: bad weight sidecar f.weights.json")
 
 
 # ------------------------------------------------------------------ encode

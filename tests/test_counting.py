@@ -253,10 +253,10 @@ def test_cache_reuses_reconverged_residuals():
     # branch prefixes reach the same residual formula, whose count must
     # come out of the residual cache.
     from paulimc.circuits import Circuit, gate
-    from paulimc.encoder import assemble_check, encode_circuit, pauli_x
+    from paulimc.encoder import PauliTerm, assemble_check, encode_circuit
 
     chain = Circuit(1, tuple(gate("t", 1) for _ in range(4)))
-    f = assemble_check(encode_circuit(chain), pauli_x(1, 1))
+    f = assemble_check(encode_circuit(chain), PauliTerm.single(1, 1, "X"))
     r = count(f)
     assert r.value == ExactWeight(-1, 0, 0)
     assert r.stats.cache_hits >= 1

@@ -1,3 +1,4 @@
+import json
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,7 @@ from paulimc.dimacs import (
     save_cnf,
     sidecar_path,
 )
-from paulimc.encoder import assemble_check, encode_circuit, pauli_x, pauli_z
+from paulimc.encoder import PauliTerm, assemble_check, encode_circuit
 from paulimc.weights import EXACT, FLOAT, INV_SQRT2, ONE, ExactWeight
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -192,6 +193,13 @@ def test_load_rejects_bad_sidecar_json(tmp_path):
         load_cnf(p)
 
 
+def test_load_rejects_sidecar_weights_not_an_object(tmp_path):
+    p = save_cnf(WeightedCnf(num_vars=1, clauses=[]), tmp_path / "f.cnf")
+    sidecar_path(p).write_text('{"mode": "exact", "weights": [1]}')
+    with pytest.raises(FormatError, match="bad weight sidecar"):
+        load_cnf(p)
+
+
 def test_load_rejects_sidecar_missing_a_weighted_literal(tmp_path):
     f = WeightedCnf(num_vars=1, clauses=[], weights={1: INV_SQRT2}, mode=EXACT)
     p = save_cnf(f, tmp_path / "f.cnf")
@@ -205,6 +213,23 @@ def test_load_rejects_sidecar_literal_out_of_range(tmp_path):
     sidecar_path(p).write_text('{"mode": "exact", "weights": {"5": [1, 0, 1]}}')
     with pytest.raises(FormatError, match="out of range"):
         load_cnf(p)
+
+
+def test_sidecar_has_one_weight_per_line_and_indented_ones_still_load(tmp_path):
+    weights = {1: INV_SQRT2, -2: ExactWeight(-1, 2, 3)}
+    f = WeightedCnf(num_vars=2, clauses=[(1, 2)], weights=weights, mode=EXACT)
+    p = save_cnf(f, tmp_path / "f.cnf")
+    assert sidecar_path(p).read_text() == (
+        '{"mode": "exact", "weights": {\n'
+        '"1": [0, 1, 1],\n'
+        '"-2": [-1, 2, 3]\n'
+        "}}\n"
+    )
+    # the layout written before one weight per line: same schema, indented
+    payload = {"mode": "exact",
+               "weights": {str(lit): [w.a, w.b, w.k] for lit, w in weights.items()}}
+    sidecar_path(p).write_text(json.dumps(payload, indent=1) + "\n")
+    assert load_cnf(p).weights == weights
 
 
 def test_load_rejects_disagreeing_sidecar_value(tmp_path):
@@ -226,7 +251,7 @@ def test_golden_check_formulas_count_to_one(stem):
 
 @pytest.mark.parametrize(
     "stem,p0",
-    [("x1", pauli_x(1, 1)), ("z1", pauli_z(1, 1))],
+    [("x1", PauliTerm.single(1, 1, "X")), ("z1", PauliTerm.single(1, 1, "Z"))],
 )
 def test_golden_files_match_current_encoder_bytes(stem, p0):
     # T . T . Sdg fixes both Pauli letters; the files freeze the encoder
@@ -238,6 +263,6 @@ def test_golden_files_match_current_encoder_bytes(stem, p0):
 
 def test_golden_sidecars_match_current_encoder(tmp_path):
     a = Circuit(1, (gate("t", 1), gate("t", 1), gate("sdg", 1)))
-    f = assemble_check(encode_circuit(a), pauli_x(1, 1))
+    f = assemble_check(encode_circuit(a), PauliTerm.single(1, 1, "X"))
     p = save_cnf(f, tmp_path / "x1.cnf")
     assert sidecar_path(p).read_text() == (GOLDEN / "x1.weights.json").read_text()

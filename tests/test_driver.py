@@ -15,7 +15,6 @@ from paulimc.driver import (
     QubitCountMismatchError,
     Witness,
     check_equivalence,
-    check_identity,
     check_order,
 )
 from paulimc.oracle import equal_up_to_phase, unitary_of
@@ -59,7 +58,7 @@ def test_verdict_serializes_to_json():
 
 
 def test_single_t_is_not_identity():
-    verdict = check_identity(Circuit(1, (gate("t", 1),)))
+    verdict = check_equivalence(Circuit(1, (gate("t", 1),)), Circuit(1))
     assert verdict.status == NOT_EQUIVALENT
     assert verdict.witness == Witness("X", 1, INV_SQRT2)
 
@@ -131,7 +130,8 @@ def test_later_mismatch_is_reported_after_an_earlier_timeout():
                     gate("h", 1)))
     a = concat(w, adjoint(w))
     a = Circuit(2, a.gates + (gate("x", 2),))
-    verdict = check_identity(a, CheckConfig(count_timeout=1e-7))
+    verdict = check_equivalence(a, Circuit(a.num_qubits),
+                                CheckConfig(count_timeout=1e-7))
     assert verdict.status == NOT_EQUIVALENT
     assert verdict.witness == Witness("Z", 2, MINUS_ONE)
     assert [(r.pauli, r.qubit, r.status) for r in verdict.checks] == [
@@ -142,7 +142,7 @@ def test_later_mismatch_is_reported_after_an_earlier_timeout():
     ]
     # with the default budget every check completes: the qubit-1 part is
     # the identity, so the same witness stands
-    full = check_identity(a)
+    full = check_equivalence(a, Circuit(a.num_qubits))
     assert full.witness == Witness("Z", 2, MINUS_ONE)
     assert [r.status for r in full.checks] == ["one"] * 3 + ["mismatch"]
 
@@ -189,7 +189,8 @@ def test_timeout_yields_unknown_not_a_verdict():
         ),
     )
     a = concat(w, adjoint(w))
-    verdict = check_identity(a, CheckConfig(count_timeout=1e-7))
+    verdict = check_equivalence(a, Circuit(a.num_qubits),
+                                CheckConfig(count_timeout=1e-7))
     assert verdict.status == UNKNOWN
     assert verdict.witness is None
     statuses = {rec.status for rec in verdict.checks}

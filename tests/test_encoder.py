@@ -15,12 +15,9 @@ from paulimc.encoder import (
     PauliTermError,
     TOFFOLI_TABLE,
     assemble_check,
+    check_units,
     encode_circuit,
     infer_mode,
-    initial_units,
-    pauli_x,
-    pauli_z,
-    projection_units,
 )
 from paulimc.oracle import pauli_coefficient, unitary_of
 from paulimc.weights import EXACT, FLOAT, HALF, INV_SQRT2, MINUS_ONE, as_float
@@ -34,16 +31,12 @@ TTSDG = Circuit(1, (gate("t", 1), gate("t", 1), gate("sdg", 1)))
 def test_pauli_term_labels():
     p = PauliTerm.from_label("XIZ")
     assert p.bits == ((1, 0), (0, 0), (0, 1))
-    assert p.sign == 0
     assert p.label == "XIZ"
-    assert PauliTerm.from_label("-YX").label == "-YX"
-    assert PauliTerm.from_label("+Z").label == "Z"
 
 
 def test_pauli_term_constructors():
-    assert PauliTerm.identity(2).label == "II"
-    assert pauli_x(3, 2).label == "IXI"
-    assert pauli_z(2, 1).label == "ZI"
+    assert PauliTerm.single(3, 2, "X").label == "IXI"
+    assert PauliTerm.single(2, 1, "Z").label == "ZI"
     assert PauliTerm.single(2, 2, "Y").label == "IY"
 
 
@@ -51,60 +44,55 @@ def test_pauli_term_validation():
     with pytest.raises(PauliTermError):
         PauliTerm.from_label("XQ")
     with pytest.raises(PauliTermError):
-        PauliTerm(2, ((0, 0),))
-    with pytest.raises(PauliTermError):
-        PauliTerm(0, ((2, 0),))
+        PauliTerm(((2, 0),))
     with pytest.raises(PauliTermError):
         PauliTerm.single(2, 3, "X")
 
 
-# -- unit clauses ------------------------------------------------------------
+# -- unit literals -----------------------------------------------------------
+# check_units gives the 2n initial units, then the 2n projection units
 
 
 def test_initial_units_x1_single_qubit():
     enc = encode_circuit(Circuit(1))
-    assert initial_units(enc, pauli_x(1, 1)) == [(1,), (-2,)]
+    assert check_units(enc, PauliTerm.single(1, 1, "X"))[:2] == [1, -2]
 
 
 def test_initial_units_z2_two_qubits():
     enc = encode_circuit(Circuit(2))
-    assert initial_units(enc, pauli_z(2, 2)) == [(-1,), (-2,), (-3,), (4,)]
+    assert check_units(enc, PauliTerm.single(2, 2, "Z"))[:4] == [-1, -2, -3, 4]
 
 
 def test_initial_units_zx_pattern():
     enc = encode_circuit(Circuit(2))
-    got = initial_units(enc, PauliTerm.from_label("ZX"))
-    assert got == [(-1,), (2,), (3,), (-4,)]
+    assert check_units(enc, PauliTerm.from_label("ZX")) == [-1, 2, 3, -4] * 2
 
 
 def test_initial_units_signed():
-    # no variable holds an input sign, so a signed p0 is refused
-    enc = encode_circuit(Circuit(1))
-    with pytest.raises(PauliTermError):
-        initial_units(enc, PauliTerm.from_label("-X"))
+    # terms are unsigned: no variable holds an input sign, so a signed
+    # label is refused when it is parsed
+    for label in ("-X", "+Z", "-YX"):
+        with pytest.raises(PauliTermError):
+            PauliTerm.from_label(label)
 
 
 def test_projection_units_pin_letters_never_sign():
     enc = encode_circuit(TTSDG)
-    units = projection_units(enc, pauli_x(1, 1))
+    units = check_units(enc, PauliTerm.from_label("Z"),
+                        project=PauliTerm.from_label("X"))
     final = enc.frames[-1]
-    assert units == [(final.xs[0],), (-final.zs[0],)]
+    assert units == [-1, 2, final.xs[0], -final.zs[0]]
     # the weighted branch and flip variables are never pinned
-    assert all(abs(lit[0]) not in enc.cnf.weights for lit in units)
-
-
-def test_projection_rejects_signed_terms():
-    enc = encode_circuit(Circuit(1))
-    with pytest.raises(PauliTermError):
-        projection_units(enc, PauliTerm.from_label("-X"))
+    assert all(abs(lit) not in enc.cnf.weights for lit in units)
 
 
 def test_unit_helpers_check_qubit_count():
     enc = encode_circuit(Circuit(2))
     with pytest.raises(PauliTermError):
-        initial_units(enc, pauli_x(3, 1))
+        check_units(enc, PauliTerm.single(3, 1, "X"))
     with pytest.raises(PauliTermError):
-        projection_units(enc, PauliTerm.identity(1))
+        check_units(enc, PauliTerm.from_label("XI"),
+                    project=PauliTerm.from_label("I"))
 
 
 # -- variable timeline -------------------------------------------------------
@@ -167,13 +155,11 @@ def test_infer_mode():
     assert infer_mode(Circuit(1, (gate("rz", 1, angle=0.3),))) == FLOAT
 
 
-def test_exact_mode_refuses_rotations():
-    c = Circuit(1, (gate("rx", 1, angle=0.3),))
-    with pytest.raises(NonNativeGateError):
-        encode_circuit(c, mode=EXACT)
-    enc = encode_circuit(c)  # auto
-    assert enc.mode == FLOAT
-    assert all(isinstance(w, float) for w in enc.cnf.weights.values())
+def test_rotations_encode_with_float_weights():
+    for kind in ("rx", "rz"):
+        enc = encode_circuit(Circuit(1, (gate(kind, 1, angle=0.3),)))
+        assert enc.mode == enc.cnf.mode == FLOAT
+        assert all(type(w) is float for w in enc.cnf.weights.values())
 
 
 def test_non_native_kind_rejected():
@@ -181,22 +167,17 @@ def test_non_native_kind_rejected():
         encode_circuit(Circuit(2, (gate("cx", 1, 2),)))
 
 
-def test_bad_mode_rejected():
-    with pytest.raises(ValueError):
-        encode_circuit(Circuit(1), mode="rational")
-
-
 # -- pinned check formulas ---------------------------------------------------
 
 
 def test_empty_circuit_counts_one():
-    for p0 in (pauli_x(1, 1), pauli_z(1, 1)):
+    for p0 in (PauliTerm.single(1, 1, "X"), PauliTerm.single(1, 1, "Z")):
         f = assemble_check(encode_circuit(Circuit(1)), p0)
         assert count(f).value.is_one()
 
 
 def test_ttsdg_both_checks_count_one():
-    for p0 in (pauli_x(1, 1), pauli_z(1, 1)):
+    for p0 in (PauliTerm.single(1, 1, "X"), PauliTerm.single(1, 1, "Z")):
         f = assemble_check(encode_circuit(TTSDG), p0)
         value = count(f).value
         assert value.is_one()
@@ -204,21 +185,13 @@ def test_ttsdg_both_checks_count_one():
 
 def test_single_t_x_check_is_inv_sqrt2():
     enc = encode_circuit(Circuit(1, (gate("t", 1),)))
-    f = assemble_check(enc, pauli_x(1, 1))
+    f = assemble_check(enc, PauliTerm.single(1, 1, "X"))
     assert count(f).value == INV_SQRT2
-
-
-def test_signed_input_flips_the_count():
-    # a signed input string is refused, not folded in: no variable holds
-    # it (negative counts stay covered by test_toffoli_branching_row_signs)
-    enc = encode_circuit(Circuit(1, (gate("t", 1),)))
-    with pytest.raises(PauliTermError):
-        assemble_check(enc, PauliTerm.from_label("-X"), pauli_x(1, 1))
 
 
 def test_assemble_weights_only_touch_final_sign():
     enc = encode_circuit(TTSDG)
-    f = assemble_check(enc, pauli_x(1, 1))
+    f = assemble_check(enc, PauliTerm.single(1, 1, "X"))
     # the weights are the branch and flip weights of the gates, nothing else
     assert f.weights == enc.cnf.weights
     assert set(f.weights) == {4, 5, 7, 8, 10}
@@ -326,7 +299,7 @@ def test_counts_match_trace_coefficients(c, data):
     enc = encode_circuit(c)
     a = unitary_of(c)
     j = data.draw(st.integers(1, c.num_qubits))
-    p0 = data.draw(st.sampled_from([pauli_x, pauli_z]))(c.num_qubits, j)
+    p0 = PauliTerm.single(c.num_qubits, j, data.draw(st.sampled_from("XZ")))
     q_label = "".join(
         data.draw(st.sampled_from("IXYZ")) for _ in range(c.num_qubits)
     )
@@ -344,7 +317,7 @@ def test_conjugation_preserves_norm(c, data):
     n = c.num_qubits
     enc = encode_circuit(c)
     j = data.draw(st.integers(1, n))
-    p0 = data.draw(st.sampled_from([pauli_x, pauli_z]))(n, j)
+    p0 = PauliTerm.single(n, j, data.draw(st.sampled_from("XZ")))
     total = 0.0
     for labels in itertools.product("IXYZ", repeat=n):
         q = PauliTerm.from_label("".join(labels))
@@ -356,6 +329,6 @@ def test_encoded_circuit_is_reusable():
     # one encoding serves all checks: assembling must not mutate it
     enc = encode_circuit(TTSDG)
     before = (list(enc.cnf.clauses), dict(enc.cnf.weights))
-    assemble_check(enc, pauli_x(1, 1))
-    assemble_check(enc, pauli_z(1, 1), PauliTerm.from_label("Y"))
+    assemble_check(enc, PauliTerm.single(1, 1, "X"))
+    assemble_check(enc, PauliTerm.single(1, 1, "Z"), PauliTerm.from_label("Y"))
     assert (list(enc.cnf.clauses), dict(enc.cnf.weights)) == before

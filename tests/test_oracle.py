@@ -10,7 +10,6 @@ from paulimc.oracle import (
     DimensionMismatchError,
     NotHermitianError,
     OracleError,
-    PAULI_1Q,
     TooManyQubitsError,
     decompose_in_pauli_basis,
     equal_up_to_phase,
@@ -178,7 +177,7 @@ def test_decompose_caps():
 
 
 def test_equal_up_to_phase_basic():
-    z = PAULI_1Q["Z"]
+    z = pauli_label_matrix("Z")
     assert equal_up_to_phase(-1j * z, z)
     assert equal_up_to_phase(z, z)
     assert not equal_up_to_phase(S_MATRIX, single_qubit_matrix("t"))
