@@ -86,6 +86,17 @@ def test_projection_units_pin_letters_never_sign():
     assert all(abs(lit) not in enc.cnf.weights for lit in units)
 
 
+def test_projection_rejects_signed_terms():
+    # a signed projection term cannot be built, so it never reaches
+    # check_units; the unsigned one pins only the letter variables
+    enc = encode_circuit(Circuit(1))
+    with pytest.raises(PauliTermError):
+        check_units(enc, PauliTerm.from_label("X"),
+                    project=PauliTerm.from_label("-X"))
+    assert check_units(enc, PauliTerm.from_label("X"),
+                       project=PauliTerm.from_label("X")) == [1, -2] * 2
+
+
 def test_unit_helpers_check_qubit_count():
     enc = encode_circuit(Circuit(2))
     with pytest.raises(PauliTermError):
@@ -187,6 +198,15 @@ def test_single_t_x_check_is_inv_sqrt2():
     enc = encode_circuit(Circuit(1, (gate("t", 1),)))
     f = assemble_check(enc, PauliTerm.single(1, 1, "X"))
     assert count(f).value == INV_SQRT2
+
+
+def test_signed_input_flips_the_count():
+    # a signed input string is refused, not folded in: no variable holds
+    # it (negative counts stay covered by test_toffoli_branching_row_signs)
+    enc = encode_circuit(Circuit(1, (gate("t", 1),)))
+    with pytest.raises(PauliTermError):
+        assemble_check(enc, PauliTerm.from_label("-X"),
+                       PauliTerm.single(1, 1, "X"))
 
 
 def test_assemble_weights_only_touch_final_sign():
