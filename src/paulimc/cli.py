@@ -140,6 +140,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_count(args) -> int:
+    if not args.timeout > 0:  # as CheckConfig: nan fails too
+        raise ValueError(f"timeout must be positive, got {args.timeout}")
     formula = load_cnf(args.cnf)
     try:
         result = count(formula, timeout=args.timeout)

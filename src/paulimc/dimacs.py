@@ -21,6 +21,7 @@ alone always yields a float-mode formula.
 from __future__ import annotations
 
 import json
+import math
 import os
 from pathlib import Path
 
@@ -79,6 +80,8 @@ def parse(text: str) -> WeightedCnf:
                     w = float(fields[4])
                 except ValueError as exc:
                     raise FormatError(str(exc), lineno) from exc
+                if not math.isfinite(w):
+                    raise FormatError(f"weight {fields[4]} is not finite", lineno)
                 if num_vars is None:
                     raise FormatError("weight line before header", lineno)
                 if lit == 0 or abs(lit) > num_vars:

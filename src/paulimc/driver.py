@@ -47,10 +47,13 @@ class CheckConfig:
     count_timeout: float = 300.0
 
     def __post_init__(self) -> None:
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
-        if self.count_timeout <= 0:
-            raise ValueError("count_timeout must be positive")
+        # written so that nan fails both: an epsilon of 1 or more passes a
+        # count of 0, and a nan budget never expires
+        if not 0 < self.epsilon < 1:
+            raise ValueError(f"epsilon must be in (0, 1), got {self.epsilon}")
+        if not self.count_timeout > 0:
+            raise ValueError(
+                f"count_timeout must be positive, got {self.count_timeout}")
 
 
 def render_value(v):

@@ -17,12 +17,17 @@ coefficient of the projected string in the conjugated operator.  No sign
 is carried from step to step, so two paths that reach the same letters
 with opposite signs meet in the same residual.
 
-Variable ids are handed out deterministically: step 0 takes
-x(1), z(1), ..., x(n), z(n), and every gate then appends its fresh ids in
-a fixed per-kind order.  Bits a gate does not touch keep their ids across
-the step — sharing the id replaces an equality clause.  H touches both
-bits of its qubit but permutes them, so it allocates only its flip
-variable and swaps the two ids in the frame.
+Each native kind is one clause template, built once at import over local
+variables: 1..2m are the frame bits the gate reads (x then z of each of
+its m qubits, in gate order), the next ones its fresh ids in a fixed order.
+A gate is encoded by renaming its kind's template: step 0 takes
+x(1), z(1), ..., x(n), z(n), each gate appends its fresh ids, and each
+frame bit it touches takes the id its template names.  Bits a gate does
+not touch keep their ids across the step — sharing the id replaces an
+equality clause; H permutes its qubit's two ids.  The Toffoli template is
+compiled from its 64-row table: on each branching row the four new triples
+(z1', z2', x3') are exactly the solutions of
+x1 z1' + x2 z2' + z3 x3' = x1 z1 + x2 z2 + z3 x3 (mod 2).
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from operator import itemgetter, neg
 
 from .circuits import Circuit, CircuitError
 from .cnf import WeightedCnf
@@ -226,180 +232,119 @@ def _xor_def(a: int, b: int, c: int) -> list[tuple[int, ...]]:
     return [(-a, b, c), (-a, -b, -c), (a, -b, c), (a, b, -c)]
 
 
-class _Builder:
-    def __init__(self, num_qubits: int, mode: str):
-        self.n = num_qubits
-        self.mode = mode
-        self.clauses: list[tuple[int, ...]] = []
-        self.weights: dict[int, object] = {}
-        self.xs = [2 * j + 1 for j in range(num_qubits)]
-        self.zs = [2 * j + 2 for j in range(num_qubits)]
-        self.next_var = 2 * num_qubits + 1
-        self.frames = [self.snapshot()]
+# --------------------------------------------------------------------------
+# Clause templates, one per native kind.
 
-    def snapshot(self) -> Frame:
-        return Frame(tuple(self.xs), tuple(self.zs))
 
-    def fresh(self) -> int:
-        v = self.next_var
-        self.next_var += 1
-        return v
+class _Template:
+    def __init__(self, fresh, clauses, weights, out):
+        self.fresh = fresh
+        # every clause has two or more literals, so each itemgetter returns
+        # a tuple: one call renames a clause through a local-to-global table
+        self.renames = tuple(itemgetter(*c) for c in clauses)
+        self.weights = weights  # (local, constant name, or math.cos/sin)
+        self.out = out  # per qubit, the locals its x and z become
 
-    def flip(self) -> int:
-        """A fresh variable of weight -1: the gate's sign flip."""
-        f = self.fresh()
-        self.weights[f] = MINUS_ONE if self.mode == EXACT else -1.0
-        return f
 
-    def emit(self, cls: list[tuple[int, ...]]) -> None:
-        self.clauses.extend(cls)
+def _t(dagger: bool) -> _Template:
+    # x, z = 1, 2; fresh z2, f, u = 3, 4, 5.  u <=> x marks the branching
+    # inputs; z2 = z when x=0.
+    # T X = (X + Y)/sqrt2, T Y = (Y - X)/sqrt2
+    # Tdg X = (X - Y)/sqrt2, Tdg Y = (X + Y)/sqrt2
+    flip = _and_def(4, 1, -2, 3) if dagger else _and_def(4, 1, 2, -3)
+    return _Template(3, [(-5, 1), (5, -1), (1, -2, 3), (1, 2, -3)] + flip,
+                     [(4, "-1"), (5, "1/sqrt2")], [(1, 3)])
 
-    def w_inv_sqrt2(self):
-        return INV_SQRT2 if self.mode == EXACT else 1.0 / math.sqrt(2.0)
 
-    def w_half(self):
-        return HALF if self.mode == EXACT else 0.5
+def _rotation(axis: str) -> _Template:
+    """Rx or Rz: the bit o on the rotation's axis (x for Rx, z for Rz)
+    becomes o2; the other bit k decides whether the letter branches."""
+    o, k = (1, 2) if axis == "x" else (2, 1)
+    o2, f, c, u = 3, 4, 5, 6
+    clauses = [(k, -o, o2), (k, o, -o2),  # frame o when k=0
+               # c <=> k & (o == o2);  u <=> k & (o != o2)
+               (-c, k), (-c, -o, o2), (-c, o, -o2),
+               (c, -k, -o, -o2), (c, -k, o, o2),
+               (-u, k), (-u, o, o2), (-u, -o, -o2),
+               (u, -k, -o, o2), (u, -k, o, -o2)]
+    # Rx(t): Z -> cos Z - sin Y, Y -> cos Y + sin Z  (flips on input x=0)
+    # Rz(t): X -> cos X + sin Y, Y -> cos Y - sin X  (flips on input z=1)
+    clauses += _and_def(f, u, -o if axis == "x" else o)
+    out = (o2, k) if axis == "x" else (k, o2)
+    return _Template(4, clauses,
+                     [(f, "-1"), (c, math.cos), (u, math.sin)], [out])
 
-    # ---- gate emitters ----------------------------------------------------
 
-    def gate_h(self, j: int) -> None:
-        q = j - 1
-        x, z = self.xs[q], self.zs[q]
-        f = self.flip()
-        self.emit(_and_def(f, x, z))  # Y -> -Y
-        self.xs[q], self.zs[q] = z, x
+def _bits(label: str) -> tuple[int, ...]:
+    """(x1, z1, x2, z2, x3, z3) of a three-letter string."""
+    return tuple(b for letter in label for b in BITS_FROM_PAULI[letter])
 
-    def gate_s(self, j: int, dagger: bool) -> None:
-        q = j - 1
-        x, z = self.xs[q], self.zs[q]
-        z2 = self.fresh()
-        f = self.flip()
-        self.emit(_xor_def(z2, x, z))
-        # Sdg: X -> -Y;  S: Y -> -X
-        self.emit(_and_def(f, x, -z if dagger else z))
-        self.zs[q] = z2
 
-    def gate_t(self, j: int, dagger: bool) -> None:
-        q = j - 1
-        x, z = self.xs[q], self.zs[q]
-        z2 = self.fresh()
-        f = self.flip()
-        u = self.fresh()
-        self.emit([(-u, x), (u, -x)])  # u <=> x marks the branching inputs
-        self.emit([(x, -z, z2), (x, z, -z2)])  # frame z when x=0
-        if dagger:
-            # Tdg X = (X - Y)/sqrt2, Tdg Y = (X + Y)/sqrt2
-            self.emit(_and_def(f, x, -z, z2))
-        else:
-            # T X = (X + Y)/sqrt2, T Y = (Y - X)/sqrt2
-            self.emit(_and_def(f, x, z, -z2))
-        self.weights[u] = self.w_inv_sqrt2()
-        self.zs[q] = z2
+_changed = itemgetter(1, 3, 4)  # (z1, z2, x3): the bits a Toffoli can change
 
-    def gate_cz(self, j: int, k: int) -> None:
-        qj, qk = j - 1, k - 1
-        xj, zj = self.xs[qj], self.zs[qj]
-        xk, zk = self.xs[qk], self.zs[qk]
-        zj2 = self.fresh()
-        zk2 = self.fresh()
-        f = self.flip()
-        self.emit(_xor_def(zj2, zj, xk))
-        self.emit(_xor_def(zk2, zk, xj))
-        # the sign flips exactly when both x bits are set and z bits differ
-        self.emit([(-f, xj), (-f, xk), (-f, zj, zk), (-f, -zj, -zk),
-                   (f, -xj, -xk, -zj, zk), (f, -xj, -xk, zj, -zk)])
-        self.zs[qj] = zj2
-        self.zs[qk] = zk2
 
-    def gate_rotation(self, j: int, theta: float, axis: str) -> None:
-        """Rx or Rz: the bit o on the rotation's axis (x for Rx, z for Rz)
-        gets a new id o2; the other bit k decides whether the letter
-        branches."""
-        q = j - 1
-        own, other = (self.xs, self.zs) if axis == "x" else (self.zs, self.xs)
-        o, k = own[q], other[q]
-        o2 = self.fresh()
-        f = self.flip()
-        c = self.fresh()
-        u = self.fresh()
-        self.emit([(k, -o, o2), (k, o, -o2)])  # frame o when k=0
-        # c <=> k & (o == o2);  u <=> k & (o != o2)
-        self.emit([(-c, k), (-c, -o, o2), (-c, o, -o2),
-                   (c, -k, -o, -o2), (c, -k, o, o2)])
-        self.emit([(-u, k), (-u, o, o2), (-u, -o, -o2),
-                   (u, -k, -o, o2), (u, -k, o, -o2)])
-        # Rx(t): Z -> cos Z - sin Y, Y -> cos Y + sin Z  (flips on input x=0)
-        # Rz(t): X -> cos X + sin Y, Y -> cos Y - sin X  (flips on input z=1)
-        self.emit(_and_def(f, u, -o if axis == "x" else o))
-        self.weights[c] = math.cos(theta)
-        self.weights[u] = math.sin(theta)
-        own[q] = o2
+def _toffoli_clauses() -> list[tuple[int, ...]]:
+    """The ccx clauses, row by row in table order, over x1..z3 = 1..6 and
+    fresh z1', z2', x3', f, h = 7..11.  A singleton row fixes the three
+    new bits to the old ones with h and f false; a branching row sets h,
+    blocks the new-bit triples off its parity constraint, and gives each
+    branch's triple the flip of its sign."""
+    new = (7, 8, 9)
+    clauses = []
+    for inp, terms in TOFFOLI_TABLE:
+        x1, z1, x2, z2, x3, z3 = bits = _bits(inp)
+        cube = tuple(-_lit(v, b) for v, b in zip(range(1, 7), bits))
+        if len(terms) == 1:
+            clauses.append(cube + (-11,))
+            clauses += [cube + (_lit(v, b),) for v, b in zip(new, (z1, z2, x3))]
+            clauses.append(cube + (-10,))
+            continue
+        clauses.append(cube + (11,))
+        # The branch triples (z1', z2', x3') must be exactly the solutions
+        # of x1 z1' + x2 z2' + z3 x3' = x1 z1 + x2 z2 + z3 x3 (mod 2).
+        beta = x1 & z1 ^ x2 & z2 ^ z3 & x3
+        branches = [(sgn, _changed(_bits(out))) for sgn, out in terms]
+        solutions = {p for p in itertools.product((0, 1), repeat=3)
+                     if x1 & p[0] ^ x2 & p[1] ^ z3 & p[2] == beta}
+        if {p for _, p in branches} != solutions:
+            raise RuntimeError(f"ccx row {inp} breaks the branch parity")
+        support = [v for v, a in zip(new, (x1, x2, z3)) if a]
+        for combo in itertools.product((0, 1), repeat=len(support)):
+            if sum(combo) % 2 != beta:
+                clauses.append(cube + tuple(
+                    -_lit(v, b) for v, b in zip(support, combo)))
+        for sgn, p in branches:
+            guard = tuple(-_lit(v, b) for v, b in zip(new, p))
+            clauses.append(cube + guard + ((10,) if sgn < 0 else (-10,)))
+    return clauses
 
-    def gate_ccx(self, c1: int, c2: int, t: int) -> None:
-        x1, z1 = self.xs[c1 - 1], self.zs[c1 - 1]
-        x2, z2 = self.xs[c2 - 1], self.zs[c2 - 1]
-        x3, z3 = self.xs[t - 1], self.zs[t - 1]
-        z1n = self.fresh()
-        z2n = self.fresh()
-        x3n = self.fresh()
-        f = self.flip()
-        h = self.fresh()
-        invars = (x1, z1, x2, z2, x3, z3)
-        outvars = (z1n, z2n, x3n)  # the only bits the gate can change
-        for inp, terms in TOFFOLI_TABLE:
-            inbits = []
-            for letter in inp:
-                inbits.extend(BITS_FROM_PAULI[letter])
-            negcube = tuple(-_lit(v, b) for v, b in zip(invars, inbits))
-            branches = []
-            for sgn, out in terms:
-                ob = [BITS_FROM_PAULI[letter] for letter in out]
-                branches.append((sgn, (ob[0][1], ob[1][1], ob[2][0])))
-            if len(branches) == 1:
-                self.clauses.append(negcube + (-h,))
-                sgn, bits = branches[0]
-                for v, b in zip(outvars, bits):
-                    self.clauses.append(negcube + (_lit(v, b),))
-                self.clauses.append(negcube + (-f,))
-                continue
-            self.clauses.append(negcube + (h,))
-            # The four branch bit-triples form an affine subspace of
-            # dimension 2, so exactly one linear form alpha.x is constant
-            # on them; block the assignments violating it.
-            patterns = [bits for _, bits in branches]
-            alpha = beta = None
-            for cand in itertools.product((0, 1), repeat=3):
-                if cand == (0, 0, 0):
-                    continue
-                vals = {
-                    (p[0] & cand[0]) ^ (p[1] & cand[1]) ^ (p[2] & cand[2])
-                    for p in patterns
-                }
-                if len(vals) == 1:
-                    alpha, beta = cand, vals.pop()
-                    break
-            if alpha is None or len(set(patterns)) != 4:
-                raise RuntimeError(f"table row {inp} is not an affine branch set")
-            support = [i for i in range(3) if alpha[i]]
-            for combo in itertools.product((0, 1), repeat=len(support)):
-                parity = 0
-                for b in combo:
-                    parity ^= b
-                if parity == beta:
-                    continue
-                block = tuple(
-                    -_lit(outvars[i], b) for i, b in zip(support, combo)
-                )
-                self.clauses.append(negcube + block)
-            for sgn, bits in branches:
-                guard = negcube + tuple(
-                    -_lit(v, b) for v, b in zip(outvars, bits)
-                )
-                self.clauses.append(guard + ((f,) if sgn < 0 else (-f,)))
-        self.weights[h] = self.w_half()
-        self.zs[c1 - 1] = z1n
-        self.zs[c2 - 1] = z2n
-        self.xs[t - 1] = x3n
+
+_TEMPLATES = {
+    "h": _Template(1, _and_def(3, 1, 2), [(3, "-1")], [(2, 1)]),  # Y -> -Y
+    # fresh z2, f = 3, 4
+    "s": _Template(2, _xor_def(3, 1, 2) + _and_def(4, 1, 2),  # Y -> -X
+                   [(4, "-1")], [(1, 3)]),
+    "sdg": _Template(2, _xor_def(3, 1, 2) + _and_def(4, 1, -2),  # X -> -Y
+                     [(4, "-1")], [(1, 3)]),
+    "t": _t(False),
+    "tdg": _t(True),
+    # xj, zj, xk, zk = 1..4; fresh zj2, zk2, f = 5, 6, 7.  The sign flips
+    # exactly when both x bits are set and the z bits differ.
+    "cz": _Template(3, _xor_def(5, 2, 3) + _xor_def(6, 4, 1)
+                    + [(-7, 1), (-7, 3), (-7, 2, 4), (-7, -2, -4),
+                       (7, -1, -3, -2, 4), (7, -1, -3, 2, -4)],
+                    [(7, "-1")], [(1, 5), (3, 6)]),
+    "rx": _rotation("x"),
+    "rz": _rotation("z"),
+    "ccx": _Template(5, _toffoli_clauses(), [(10, "-1"), (11, "1/2")],
+                     [(1, 7), (3, 8), (9, 6)]),
+}
+
+# The value of each constant a template names, per mode.
+_CONSTANTS = {
+    EXACT: {"-1": MINUS_ONE, "1/sqrt2": INV_SQRT2, "1/2": HALF},
+    FLOAT: {"-1": -1.0, "1/sqrt2": 1.0 / math.sqrt(2.0), "1/2": 0.5},
+}
 
 
 def infer_mode(circuit: Circuit) -> str:
@@ -420,41 +365,44 @@ def encode_circuit(circuit: Circuit) -> EncodedCircuit:
     encoding serves all 2n equivalence checks.
     """
     mode = infer_mode(circuit)
-    b = _Builder(circuit.num_qubits, mode)
+    n = circuit.num_qubits
+    xs = list(range(1, 2 * n, 2))
+    zs = list(range(2, 2 * n + 1, 2))
+    next_var = 2 * n + 1
+    clauses: list[tuple[int, ...]] = []
+    weights: dict[int, object] = {}
+    constants = _CONSTANTS[mode]
+    frames = [Frame(tuple(xs), tuple(zs))]
     for g in circuit.gates:
-        if g.kind == "h":
-            b.gate_h(g.qubits[0])
-        elif g.kind == "s":
-            b.gate_s(g.qubits[0], dagger=False)
-        elif g.kind == "sdg":
-            b.gate_s(g.qubits[0], dagger=True)
-        elif g.kind == "t":
-            b.gate_t(g.qubits[0], dagger=False)
-        elif g.kind == "tdg":
-            b.gate_t(g.qubits[0], dagger=True)
-        elif g.kind == "cz":
-            b.gate_cz(*g.qubits)
-        elif g.kind in ("rx", "rz"):
-            b.gate_rotation(g.qubits[0], g.angle, g.kind[1])
-        elif g.kind == "ccx":
-            b.gate_ccx(*g.qubits)
-        else:
+        t = _TEMPLATES.get(g.kind)
+        if t is None:
             raise NonNativeGateError(
                 f"gate kind {g.kind!r} has no conjugation table; "
                 "run lower() first"
             )
-        b.frames.append(b.snapshot())
+        ids = []
+        for q in g.qubits:
+            ids += (xs[q - 1], zs[q - 1])
+        ids += range(next_var, next_var + t.fresh)
+        next_var += t.fresh
+        lut = [0, *ids, *map(neg, reversed(ids))]  # lut[-l] == -lut[l]
+        clauses += [rename(lut) for rename in t.renames]
+        for v, w in t.weights:
+            weights[lut[v]] = w(g.angle) if callable(w) else constants[w]
+        for q, (x, z) in zip(g.qubits, t.out):
+            xs[q - 1], zs[q - 1] = lut[x], lut[z]
+        frames.append(Frame(tuple(xs), tuple(zs)))
     cnf = WeightedCnf(
-        num_vars=b.next_var - 1,
-        clauses=b.clauses,
-        weights=b.weights,
+        num_vars=next_var - 1,
+        clauses=clauses,
+        weights=weights,
         mode=mode,
     )
     return EncodedCircuit(
-        num_qubits=circuit.num_qubits,
+        num_qubits=n,
         mode=mode,
         cnf=cnf,
-        frames=tuple(b.frames),
+        frames=tuple(frames),
     )
 
 

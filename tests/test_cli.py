@@ -227,6 +227,25 @@ def test_count_timeout_exits_two(tmp_path, capsys):
     assert "error: timeout: exceeded" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("timeout", ["-1", "0", "nan"])
+def test_count_bad_timeout_is_a_usage_error(tmp_path, capsys, timeout):
+    # as for check: a budget that never expires or has already run out is
+    # refused before any counting, not reported as a timeout
+    path = tmp_path / "f.cnf"
+    path.write_text("p cnf 1 1\n1 0\n")
+    assert main(["count", str(path), "--timeout", timeout]) == 3
+    assert "error: usage: timeout must be positive" in capsys.readouterr().err
+
+
+def test_count_rejects_non_finite_weight(tmp_path, capsys):
+    path = tmp_path / "f.cnf"
+    path.write_text("p cnf 1 1\n1 0\nc p weight 1 nan 0\n")
+    assert main(["count", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: cnf-format: " in captured.err
+
+
 def test_count_bad_format(tmp_path, capsys):
     path = tmp_path / "bad.cnf"
     path.write_text("p cnf 1 1\n1\n")
@@ -360,3 +379,23 @@ def test_negative_epsilon_is_a_usage_error(tt_and_s, capsys):
     u, v = tt_and_s
     assert main(["check", u, v, "--epsilon", "-1"]) == 3
     assert "error: usage: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--epsilon", "inf"), ("--epsilon", "1"), ("--epsilon", "nan"),
+    ("--timeout", "nan"),
+])
+def test_out_of_range_budget_is_a_usage_error(tmp_path, capsys, flag, value):
+    # a phase-shifted pair that a tolerance of 1 or more would pass
+    u = gen_random_universal(3, 12, 1)
+    paths = []
+    for name, c in (("u", u), ("v", inject_error(u, "phase_shift", 3))):
+        path = tmp_path / f"{name}.qasm"
+        path.write_text(to_qasm(c))
+        paths.append(str(path))
+    assert main(["check", *paths]) == 1
+    capsys.readouterr()
+    assert main(["check", *paths, flag, value]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: usage: " in captured.err

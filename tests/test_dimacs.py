@@ -120,6 +120,9 @@ PARSE_ERRORS = [
     ("c p weight 1 0.5 0\np cnf 1 0\n", "weight line before header", 1),
     ("p cnf 1 0\nc p weight 1 0.5\n", "malformed weight line", 2),
     ("p cnf 1 0\nc p weight 1 abc 0\n", "could not convert", 2),
+    ("p cnf 1 0\nc p weight 1 nan 0\n", "weight nan is not finite", 2),
+    ("p cnf 1 0\nc p weight -1 inf 0\n", "weight inf is not finite", 2),
+    ("p cnf 1 0\nc p weight 1 -inf 0\n", "weight -inf is not finite", 2),
     ("p cnf 1 0\nc p weight 2 0.5 0\n", "literal 2 out of range", 2),
     ("p cnf 1 0\nc p weight 0 0.5 0\n", "literal 0 out of range", 2),
     (

@@ -168,8 +168,13 @@ def test_config_validation():
         CheckConfig(epsilon=0.0)
     with pytest.raises(ValueError, match="epsilon"):
         CheckConfig(epsilon=-1e-9)
-    with pytest.raises(ValueError, match="count_timeout"):
-        CheckConfig(count_timeout=0.0)
+    # a tolerance of 1 or more passes a count of 0; nan compares false
+    for epsilon in (1.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="epsilon"):
+            CheckConfig(epsilon=epsilon)
+    for timeout in (0.0, float("nan")):
+        with pytest.raises(ValueError, match="count_timeout"):
+            CheckConfig(count_timeout=timeout)
     assert CheckConfig().epsilon == DEFAULT_EPSILON
 
 

@@ -1,5 +1,9 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -308,6 +312,68 @@ def test_single_gate_placement_off_the_first_qubit():
             got = as_float(count(assemble_check(enc, p0, q)).value)
             want = pauli_coefficient(a, q.label, p0.label)
             assert got == pytest.approx(want, abs=1e-12)
+
+
+# -- one template per kind ---------------------------------------------------
+
+_PLACEMENTS = {1: (3,), 2: (4, 2), 3: (5, 3, 1)}
+_PREFIX = (gate("h", 2), gate("cz", 1, 4), gate("t", 3), gate("s", 5),
+           gate("h", 3), gate("tdg", 1))
+
+
+@pytest.mark.parametrize(
+    "kind,n,angle", [case for case in _GATE_CASES if case[2] in (None, 0.3)]
+)
+def test_gate_clauses_are_one_template_renamed(kind, n, angle):
+    """A gate's clauses after other gates and on other qubits are its
+    clauses alone, renamed by one sign-preserving bijection of variables
+    that also carries its weights and the frame bits before and after it."""
+    alone = encode_circuit(Circuit(n, (gate(kind, *range(1, n + 1), angle=angle),)))
+    qubits = _PLACEMENTS[n]
+    before = encode_circuit(Circuit(5, _PREFIX))
+    later = encode_circuit(
+        Circuit(5, _PREFIX + (gate(kind, *qubits, angle=angle),)))
+    ours = alone.cnf.clauses
+    theirs = later.cnf.clauses[len(before.cnf.clauses):]
+    assert len(theirs) == len(ours)
+    rename = {}
+    for a, b in zip(ours, theirs):
+        assert len(a) == len(b)
+        for la, lb in zip(a, b):
+            assert (la > 0) == (lb > 0)
+            assert rename.setdefault(abs(la), abs(lb)) == abs(lb)
+    assert sorted(rename) == list(range(1, alone.cnf.num_vars + 1))
+    assert len(set(rename.values())) == len(rename)
+    for fa, fb in ((alone.frames[0], later.frames[-2]),
+                   (alone.frames[-1], later.frames[-1])):
+        for j, q in enumerate(qubits):
+            assert rename[fa.xs[j]] == fb.xs[q - 1]
+            assert rename[fa.zs[j]] == fb.zs[q - 1]
+    gate_weights = {lit: w for lit, w in later.cnf.weights.items()
+                    if lit not in before.cnf.weights}
+    assert gate_weights == {
+        (rename[lit] if lit > 0 else -rename[-lit]): w
+        for lit, w in alone.cnf.weights.items()
+    }
+
+
+def test_formula_hash_pins_every_kind():
+    # scripts/formula_hash.py over its default 800 seeded circuits: any
+    # change to a clause, weight, frame or check unit of any kind moves it
+    repo = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(repo / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    proc = subprocess.run(
+        [sys.executable, str(repo / "scripts" / "formula_hash.py")],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "circuits: 800",
+        "sha256: 169532c4644f86cf5085d7fb0199f823aa9ec6d666dae6f083034b114e5ab08a",
+    ]
 
 
 # -- whole-circuit identities ------------------------------------------------
