@@ -40,7 +40,6 @@ from .driver import (
     CheckRecord,
     QubitCountMismatchError,
     Verdict,
-    Witness,
     check_equivalence,
     check_order,
 )
@@ -64,8 +63,6 @@ from .weights import (
     FLOAT,
     ExactWeight,
     ModeMismatchError,
-    as_float,
-    parse_exact,
     serialize_exact,
 )
 
@@ -103,7 +100,6 @@ __all__ = [
     "CheckRecord",
     "QubitCountMismatchError",
     "Verdict",
-    "Witness",
     "check_equivalence",
     "check_order",
     "EncodedCircuit",
@@ -121,8 +117,6 @@ __all__ = [
     "FLOAT",
     "ExactWeight",
     "ModeMismatchError",
-    "as_float",
-    "parse_exact",
     "serialize_exact",
     "__version__",
 ]

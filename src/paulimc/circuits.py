@@ -268,14 +268,18 @@ def _eval_angle(expr: str, line: int) -> float:
             v = v + muldiv() if op == "+" else v - muldiv()
         return v
 
-    value = addsub()
+    try:
+        value = addsub()
+    except RecursionError:
+        raise QasmParseError("angle expression nested too deeply", line) from None
     if pos != len(tokens):
         raise QasmParseError(f"trailing tokens in angle {expr!r}", line)
     return value
 
 
 _QREG_RE = re.compile(r"^qreg\s+([A-Za-z_]\w*)\s*\[\s*(\d+)\s*\]$")
-_APP_RE = re.compile(r"^([A-Za-z_]\w*)\s*(?:\(([^()]*(?:\([^()]*\)[^()]*)*)\))?\s*(.*)$")
+# the angle runs from the first "(" to the last ")": qubit lists hold none
+_APP_RE = re.compile(r"^([A-Za-z_]\w*)\s*(?:\(((?s:.*))\))?\s*(.*)$")
 _QUBIT_RE = re.compile(r"^([A-Za-z_]\w*)\s*\[\s*(\d+)\s*\]$")
 
 _REJECTED_STATEMENTS = {

@@ -39,7 +39,7 @@ from .driver import (
 )
 from .encoder import PauliTerm, assemble_check
 from .oracle import OracleError, TooManyQubitsError, equal_up_to_phase, unitary_of
-from .weights import EXACT, as_float
+from .weights import EXACT
 
 
 class _Parser(argparse.ArgumentParser):
@@ -78,6 +78,17 @@ def _load_circuit(path: str):
         return parse_qasm(text)
     except QasmParseError as e:
         raise QasmParseError(f"{path}: {e}", None) from e
+
+
+def _seconds(text: str) -> float:
+    """The --timeout type: a positive number of seconds (so not nan)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
 
 
 def _format_value(v) -> str:
@@ -140,8 +151,6 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    if not args.timeout > 0:  # as CheckConfig: nan fails too
-        raise ValueError(f"timeout must be positive, got {args.timeout}")
     formula = load_cnf(args.cnf)
     try:
         result = count(formula, timeout=args.timeout)
@@ -150,7 +159,7 @@ def _cmd_count(args) -> int:
         return 2
     print(f"count: {_format_value(result.value)}")
     if formula.mode == EXACT:
-        print(f"float: {as_float(result.value)!r}")
+        print(f"float: {float(result.value)!r}")
     if args.stats:
         s = result.stats
         print(f"decisions: {s.decisions}")
@@ -209,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("v", help="second circuit (OpenQASM 2)")
     p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON,
                    help="float-mode tolerance for count == 1")
-    p.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT,
+    p.add_argument("--timeout", type=_seconds, default=DEFAULT_TIMEOUT,
                    help="per-count time budget in seconds")
     p.add_argument("--json", action="store_true", help="full JSON report")
     p.add_argument("--emit-dimacs", metavar="DIR", default=None,
@@ -218,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("count", help="weighted model count of a DIMACS file")
     p.add_argument("cnf", help="weighted DIMACS file (.weights.json honored)")
-    p.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT)
+    p.add_argument("--timeout", type=_seconds, default=DEFAULT_TIMEOUT)
     p.add_argument("--stats", action="store_true", help="print engine counters")
     p.set_defaults(func=_cmd_count)
 

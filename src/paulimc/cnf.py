@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Union
 
-from .weights import EXACT, FLOAT, ExactWeight, ModeMismatchError
+from .weights import EXACT, FLOAT, ONE, ExactWeight, ModeMismatchError
 
 Weight = Union[float, ExactWeight]
 
@@ -51,4 +51,4 @@ class WeightedCnf:
         w = self.weights.get(lit)
         if w is not None:
             return w
-        return ExactWeight.from_int(1) if self.mode == EXACT else 1.0
+        return ONE if self.mode == EXACT else 1.0

@@ -17,12 +17,8 @@ The 2n equivalence checks differ only in 4n unit literals, so the driver
 prepares one formula per verdict.  count(f) is PreparedCnf(f).count().
 
 The residual is not split into connected components, as general-purpose
-counters do.  Splitting was dropped when a sign bit chained every time
-step of the encoding to the next, so residuals stayed connected.  The
-encoding now scores signs with a -1 weight per gate, and a probe of its
-residuals on seeded equivalent pairs found 274 of 618 split; whether
-decomposition comes back is for measurement to decide.
-Counts are exact either way; only the number of decisions can differ.
+counters do.  Counts are exact either way; only the number of decisions
+can differ.
 
 The count is over *all* declared variables: a variable that drops out of
 the residual without being assigned contributes the factor
@@ -47,7 +43,7 @@ from dataclasses import dataclass
 from hashlib import blake2b
 
 from .cnf import WeightedCnf
-from .weights import EXACT, ExactWeight
+from .weights import EXACT, ONE, ZERO, ExactWeight
 
 MAX_BRUTE_VARS = 24
 DEFAULT_TIMEOUT = 300.0
@@ -110,8 +106,8 @@ class PreparedCnf:
         self.num_vars = nv = f.num_vars
         exact = f.mode == EXACT
         if exact:
-            self.one = one = ExactWeight.from_int(1)
-            self.zero = ExactWeight.from_int(0)
+            self.one = one = ONE
+            self.zero = ZERO
         else:
             self.one = one = 1.0
             self.zero = 0.0
@@ -146,6 +142,8 @@ class PreparedCnf:
     ) -> CountResult:
         """count() of the formula with each literal of `units` added as a
         unit clause."""
+        if timeout is not None and not timeout > 0:  # nan fails too
+            raise ValueError(f"timeout must be positive or None, got {timeout}")
         for lit in units:
             if lit == 0 or abs(lit) > self.num_vars:
                 raise ValueError(f"unit literal {lit} out of range")
@@ -404,8 +402,8 @@ def count(
 ) -> CountResult:
     """Exact weighted model count of f over all its declared variables.
 
-    `timeout` is wall-clock seconds (None disables), checked between
-    decisions.
+    `timeout` is wall-clock seconds, positive, or None to disable; it is
+    checked between decisions.
     """
     return PreparedCnf(f).count(timeout=timeout)
 
@@ -434,11 +432,11 @@ def brute_count(f: WeightedCnf):
         {abs(lit) for lit in f.weights}
     )
     exact = f.mode == EXACT
-    one = ExactWeight.from_int(1) if exact else 1.0
+    one = ONE if exact else 1.0
     if not weighted_vars:
         n_models = int(np.count_nonzero(sat))
         if exact:
-            return ExactWeight.from_int(n_models)
+            return ExactWeight(n_models)
         return float(n_models)
     # group assignments by the weighted variables' bit pattern; everything
     # else contributes multiplicity only
@@ -448,7 +446,7 @@ def brute_count(f: WeightedCnf):
     n_groups = 1 << len(weighted_vars)
     counts = np.bincount(group[sat], minlength=n_groups)
     if exact:
-        total = ExactWeight.from_int(0)
+        total = ZERO
         for g in range(n_groups):
             c = int(counts[g])
             if c == 0:
@@ -457,7 +455,7 @@ def brute_count(f: WeightedCnf):
             for pos, v in enumerate(weighted_vars):
                 lit = v if (g >> pos) & 1 else -v
                 w = w * f.weight_of(lit)
-            total = total + w * ExactWeight.from_int(c)
+            total = total + w * ExactWeight(c)
         return total
     terms = []
     for g in range(n_groups):

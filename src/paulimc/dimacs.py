@@ -14,8 +14,9 @@ tests rely on.
 Exact (ring-valued) weights cannot survive a decimal rendering, so
 save_cnf() writes `<stem>.weights.json` next to an exact formula with the
 (a, b, k) integer triples, one per line; load_cnf() picks the sidecar up
-again and rejects an entry that is not three integers.  parse()
-alone always yields a float-mode formula.
+again and rejects a sidecar whose mode is not "exact", a literal out of
+range and an entry that is not three integers.  parse() alone always
+yields a float-mode formula.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import os
 from pathlib import Path
 
 from .cnf import WeightedCnf
-from .weights import EXACT, FLOAT, ExactWeight, as_float
+from .weights import EXACT, FLOAT, ExactWeight
 
 
 class FormatError(ValueError):
@@ -38,7 +39,7 @@ class FormatError(ValueError):
 
 
 def _format_weight(w) -> str:
-    return f"{as_float(w):.17g}"
+    return f"{float(w):.17g}"
 
 
 def emit(f: WeightedCnf) -> str:
@@ -157,6 +158,8 @@ def load_cnf(path) -> WeightedCnf:
         return f
     try:
         payload = json.loads(side.read_text(encoding="ascii"))
+        if payload["mode"] != EXACT:
+            raise ValueError(f"mode is {payload['mode']!r}, not {EXACT!r}")
         exact_weights = {}
         for lit, abk in payload["weights"].items():
             if len(abk) != 3 or any(type(v) is not int for v in abk):
@@ -170,10 +173,10 @@ def load_cnf(path) -> WeightedCnf:
                 f"cnf file weights literal {lit} but the sidecar does not"
             )
     for lit, w in exact_weights.items():
-        if abs(lit) > f.num_vars:
+        if lit == 0 or abs(lit) > f.num_vars:
             raise FormatError(f"sidecar literal {lit} out of range")
         approx = f.weights.get(lit, 1.0)
-        if abs(w.to_float() - approx) > 1e-9 * max(1.0, abs(approx)):
+        if abs(float(w) - approx) > 1e-9 * max(1.0, abs(approx)):
             raise FormatError(
                 f"sidecar weight for literal {lit} disagrees with the cnf file"
             )

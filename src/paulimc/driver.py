@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .circuits import Circuit, adjoint, concat, lower
 from .counting import PreparedCnf, ResourceLimitError
 from .encoder import EncodedCircuit, PauliTerm, check_units, encode_circuit
-from .weights import ExactWeight, as_float, serialize_exact, value_is_one
+from .weights import ExactWeight, serialize_exact, value_is_one
 
 EQUIVALENT = "equivalent"
 NOT_EQUIVALENT = "not_equivalent"
@@ -64,13 +64,6 @@ def render_value(v):
     return None if v is None else serialize_exact(v)
 
 
-@dataclass(frozen=True)
-class Witness:
-    pauli: str  # "X" or "Z"
-    qubit: int
-    value: object  # the offending count (float or ExactWeight)
-
-
 @dataclass
 class CheckRecord:
     pauli: str
@@ -96,18 +89,19 @@ class CheckRecord:
             "value": render_value(self.value),
         }
         if isinstance(self.value, ExactWeight):
-            out["value_float"] = as_float(self.value)
+            out["value_float"] = float(self.value)
         return out
 
 
 @dataclass
 class Verdict:
-    """The answer for one encoded circuit.  `elapsed` covers one preparation
+    """The answer for one encoded circuit.  `witness` is the mismatching
+    check, the last of `checks`, or None.  `elapsed` covers one preparation
     of the shared check formula plus the 2n counts on it; parsing, lowering
     and encoding are not in it."""
 
     status: str
-    witness: Witness | None
+    witness: CheckRecord | None
     checks: list[CheckRecord]
     mode: str
     elapsed: float
@@ -180,8 +174,7 @@ def check_encoding(
         rec = _run_one(prepared, units, pauli, qubit, cfg)
         checks.append(rec)
         if rec.status == "mismatch":
-            witness = Witness(rec.pauli, rec.qubit, rec.value)
-            return Verdict(NOT_EQUIVALENT, witness, checks, enc.mode,
+            return Verdict(NOT_EQUIVALENT, rec, checks, enc.mode,
                            time.perf_counter() - t0)
     elapsed = time.perf_counter() - t0
     if any(rec.status == "timeout" for rec in checks):

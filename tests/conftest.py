@@ -53,13 +53,13 @@ def exact_cnfs(draw, max_vars=10, max_clauses=24):
     ]
     ring_values = st.sampled_from(
         [
-            ExactWeight.from_int(1),
-            ExactWeight.from_int(-1),
-            ExactWeight.from_int(2),
+            ExactWeight(1),
+            ExactWeight(-1),
+            ExactWeight(2),
             HALF,
-            -HALF,
+            ExactWeight(-1, 0, 1),
             INV_SQRT2,
-            -INV_SQRT2,
+            ExactWeight(0, -1, 1),
             ExactWeight(1, 1, 1),
         ]
     )

@@ -36,7 +36,7 @@ from paulimc.oracle import (
     pauli_label_matrix,
     unitary_of,
 )
-from paulimc.weights import ONE, ExactWeight, INV_SQRT2, as_float
+from paulimc.weights import ONE, ExactWeight, INV_SQRT2
 
 
 def _labels(n):
@@ -95,7 +95,7 @@ def test_acceptance_2_single_gate_conjugation():
             p0 = PauliTerm.from_label(in_label)
             for out_label in _labels(n):
                 q = PauliTerm.from_label(out_label)
-                got = as_float(count(assemble_check(enc, p0, q)).value)
+                got = float(count(assemble_check(enc, p0, q)).value)
                 want = pauli_coefficient(a, out_label, in_label)
                 assert abs(got - want) <= tol, (kind, in_label, out_label)
                 compared += 1
@@ -114,7 +114,7 @@ def test_acceptance_2_single_gate_conjugation():
         zeros = [lab for lab in _labels(3) if lab not in coeffs]
         for out_label in support + rng.sample(zeros, 3):
             q = PauliTerm.from_label(out_label)
-            got = as_float(count(assemble_check(enc, p0, q)).value)
+            got = float(count(assemble_check(enc, p0, q)).value)
             want = coeffs.get(out_label, 0.0)
             assert abs(got - want) <= tol, ("ccx", in_label, out_label)
             compared += 1
@@ -144,7 +144,7 @@ def test_acceptance_3_trace_coefficients():
         for j in range(1, n + 1):
             for letter in "XZ":
                 p0 = PauliTerm.single(n, j, letter)
-                got = as_float(count(assemble_check(enc, p0)).value)
+                got = float(count(assemble_check(enc, p0)).value)
                 p_mat = pauli_label_matrix(p0.label)
                 want = (p_mat @ a @ p_mat @ a.conj().T).trace().real / dim
                 assert abs(got - want) <= tol, (i, letter, j, got, want)
@@ -156,7 +156,7 @@ def test_acceptance_3_trace_coefficients():
         for _ in range(2):
             out_label = "".join(rng.choice("IXYZ") for _ in range(n))
             q = PauliTerm.from_label(out_label)
-            got = as_float(count(assemble_check(enc, p0, q)).value)
+            got = float(count(assemble_check(enc, p0, q)).value)
             want = coeffs.get(out_label, 0.0)
             assert abs(got - want) <= tol, (i, p0.label, out_label)
             checks += 1
@@ -241,7 +241,7 @@ def test_acceptance_5_phase_sensitivity():
         if verdict.status == EQUIVALENT:
             missed_loose += 1
             deviations.append(
-                max(abs(as_float(r.value) - 1.0) for r in verdict.checks)
+                max(abs(float(r.value) - 1.0) for r in verdict.checks)
             )
     detected_tiny = sum(
         check_equivalence(u, v).status == NOT_EQUIVALENT

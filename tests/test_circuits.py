@@ -170,6 +170,16 @@ def test_parse_angles_and_aliases():
     assert c.gates[4].angle == pytest.approx((math.pi + 1) / 2)
 
 
+@pytest.mark.parametrize("expr,value", [
+    ("((pi))/2", math.pi / 2),
+    ("pi*((1+1)*(2))", 4 * math.pi),
+    ("-(((-(pi))))", math.pi),
+])
+def test_parse_angles_nested_at_any_depth(expr, value):
+    c = parse_qasm(f"OPENQASM 2.0;\nqreg q[1];\nrz({expr}) q[0];\n")
+    assert c.gates[0].angle == value
+
+
 def test_parse_multiqubit_and_zero_based_indexing():
     c = parse_qasm("OPENQASM 2.0;\nqreg r[3];\ncx r[0],r[2];\nccx r[2],r[1],r[0];\n")
     assert c.gates[0] == Gate("cx", (1, 3))

@@ -6,10 +6,18 @@ import pytest
 from paulimc.bench import gen_random_universal, inject_error
 from paulimc.circuits import Circuit, gate, parse_qasm, to_qasm
 from paulimc.cli import main
-from paulimc.driver import NOT_EQUIVALENT, CheckRecord, Verdict, Witness
+from paulimc.driver import NOT_EQUIVALENT, CheckRecord, Verdict
 from paulimc.weights import FLOAT
 
 HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";\n'
+
+
+def exit_code(argv) -> int:
+    """main's exit status, whether it returns it or argparse exits."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 def qasm_file(tmp_path, name, n, body=""):
@@ -66,7 +74,7 @@ def test_check_prints_a_negative_zero_as_zero(tt_and_s, monkeypatch, capsys):
     def verdict(*args, **kwargs):
         checks = [CheckRecord("X", 1, "one", 1.0, 0.0),
                   CheckRecord("Z", 1, "mismatch", -0.0, 0.0)]
-        return Verdict(NOT_EQUIVALENT, Witness("Z", 1, -0.0), checks, FLOAT, 0.0)
+        return Verdict(NOT_EQUIVALENT, checks[-1], checks, FLOAT, 0.0)
 
     monkeypatch.setattr("paulimc.cli.check_encoding", verdict)
     u, v = tt_and_s
@@ -233,8 +241,31 @@ def test_count_bad_timeout_is_a_usage_error(tmp_path, capsys, timeout):
     # refused before any counting, not reported as a timeout
     path = tmp_path / "f.cnf"
     path.write_text("p cnf 1 1\n1 0\n")
-    assert main(["count", str(path), "--timeout", timeout]) == 3
-    assert "error: usage: timeout must be positive" in capsys.readouterr().err
+    assert exit_code(["count", str(path), "--timeout", timeout]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert (f"error: usage: argument --timeout: must be positive, got {timeout}\n"
+            in captured.err)
+
+
+def test_count_rejects_sidecar_literal_zero(tmp_path, capsys):
+    path = tmp_path / "f.cnf"
+    path.write_text("p cnf 1 1\n1 0\n")
+    (tmp_path / "f.weights.json").write_text(
+        '{"mode": "exact", "weights": {"-0": [1, 0, 0]}}')
+    assert main(["count", str(path)]) == 3
+    assert capsys.readouterr().err.startswith("error: cnf-format: ")
+
+
+def test_count_rejects_sidecar_of_another_mode(tmp_path, capsys):
+    # the sidecar must not turn a float file exact
+    path = tmp_path / "f.cnf"
+    path.write_text("p cnf 1 1\n1 0\n")
+    (tmp_path / "f.weights.json").write_text('{"mode": "float", "weights": {}}')
+    assert main(["count", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cnf-format: bad weight sidecar")
 
 
 def test_count_rejects_non_finite_weight(tmp_path, capsys):
@@ -395,7 +426,28 @@ def test_out_of_range_budget_is_a_usage_error(tmp_path, capsys, flag, value):
         paths.append(str(path))
     assert main(["check", *paths]) == 1
     capsys.readouterr()
-    assert main(["check", *paths, flag, value]) == 3
+    assert exit_code(["check", *paths, flag, value]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error: usage: " in captured.err
+
+
+@pytest.mark.parametrize("timeout", ["-1", "0", "nan"])
+def test_check_bad_timeout_is_a_usage_error(tt_and_s, capsys, timeout):
+    # the message names the flag that was typed, as for count
+    u, v = tt_and_s
+    assert exit_code(["check", u, v, "--timeout", timeout]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert (f"error: usage: argument --timeout: must be positive, got {timeout}\n"
+            in captured.err)
+
+
+def test_check_deeply_nested_angle_is_a_parse_error(tmp_path, capsys):
+    u = qasm_file(tmp_path, "u.qasm", 1, "rz(" + "-" * 5000 + "pi) q[0];\n")
+    v = qasm_file(tmp_path, "v.qasm", 1)
+    assert main(["check", u, v]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: qasm-parse: ")
+    assert "nested too deeply" in captured.err

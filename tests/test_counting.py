@@ -58,8 +58,8 @@ def test_empty_formula_counts_all_assignments():
 
 def test_empty_formula_exact_mode():
     f = WeightedCnf(num_vars=3, mode=EXACT)
-    assert count(f).value == ExactWeight.from_int(8)
-    assert brute_count(f) == ExactWeight.from_int(8)
+    assert count(f).value == ExactWeight(8)
+    assert brute_count(f) == ExactWeight(8)
 
 
 def test_unsat_counts_zero():
@@ -212,7 +212,7 @@ def test_zero_and_unit_weights(mode):
     # weight 0 on a literal that propagation forces, on a branch literal
     # and on a free variable; weight 1 given explicitly, which must count
     # as if it were absent
-    w = {FLOAT: float, EXACT: ExactWeight.from_int}[mode]
+    w = {FLOAT: float, EXACT: ExactWeight}[mode]
     half = 0.5 if mode == FLOAT else ExactWeight(1, 0, 1)
     cases = [
         WeightedCnf(3, [(1,), (-1, 2), (2, 3)], {2: w(0), -3: half}, mode),
@@ -293,6 +293,17 @@ def test_timeout_raises():
 
 def test_timeout_none_disables_deadline():
     assert count(EXAMPLE_F, timeout=None).value == 0.5
+    assert PreparedCnf(EXAMPLE_F).count(timeout=None).value == 0.5
+
+
+@pytest.mark.parametrize("timeout", [float("nan"), 0.0, -1.0])
+def test_non_positive_timeout_is_refused(timeout):
+    # a nan deadline would never expire, and one already past would time
+    # out a count that needs no decision: both are refused up front
+    with pytest.raises(ValueError, match="timeout must be positive"):
+        count(EXAMPLE_F, timeout=timeout)
+    with pytest.raises(ValueError, match="timeout must be positive"):
+        PreparedCnf(EXAMPLE_F).count([1], timeout=timeout)
 
 
 def test_brute_variable_cap():

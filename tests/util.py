@@ -27,13 +27,13 @@ def clause_satisfied(clause, bits) -> bool:
 def enumerate_weighted_count(f):
     """Sum of per-model weight products over every full assignment."""
     exact = f.mode == EXACT
-    total = ExactWeight.from_int(0) if exact else None
+    total = ExactWeight(0) if exact else None
     float_terms = []
     for bits in itertools.product((False, True), repeat=f.num_vars):
         if not all(clause_satisfied(c, bits) for c in f.clauses):
             continue
         if exact:
-            w = ExactWeight.from_int(1)
+            w = ExactWeight(1)
             for v in range(1, f.num_vars + 1):
                 w = w * f.weight_of(v if bits[v - 1] else -v)
             total = total + w
@@ -47,6 +47,6 @@ def enumerate_weighted_count(f):
 
 def values_close(a, b, tol=1e-12) -> bool:
     """Tolerant comparison of two counts that may be exact or float."""
-    fa = a.to_float() if isinstance(a, ExactWeight) else float(a)
-    fb = b.to_float() if isinstance(b, ExactWeight) else float(b)
+    fa = float(a)
+    fb = float(b)
     return abs(fa - fb) <= tol * max(1.0, abs(fa), abs(fb))
