@@ -1,13 +1,14 @@
-"""Hash the encoder's output and every check's unit literals over seeded circuits.
+"""Hash the parser's and encoder's output and every check's unit literals.
 
-A refactor of the encoder that must leave the formulas unchanged can be
-checked by running this at the old and the new commit and comparing the
-printed digests:
+A refactor of the QASM parser, the lowering or the encoder that must leave
+the formulas unchanged can be checked by running this at the old and the
+new commit and comparing the printed digests:
 
     PYTHONPATH=src python scripts/formula_hash.py [--seeds 400]
 
-For each seed it lowers `gen_random_universal(5, 30, seed)` and
-`gen_random_clifford_t(5, 30, seed)`, encodes them, and feeds the mode,
+For each seed it writes `gen_random_universal(5, 30, seed)` and
+`gen_random_clifford_t(5, 30, seed)` as QASM, parses and lowers them back
+(`lower(parse_qasm(to_qasm(...)))`), encodes them, and feeds the mode,
 `num_vars`, clauses, weights (with their Python types), frames and
 `check_units` of every check in `check_order` into one SHA-256.
 """
@@ -18,7 +19,7 @@ import argparse
 import hashlib
 
 from paulimc.bench import gen_random_clifford_t, gen_random_universal
-from paulimc.circuits import lower
+from paulimc.circuits import lower, parse_qasm, to_qasm
 from paulimc.driver import check_order
 from paulimc.encoder import PauliTerm, check_units, encode_circuit
 
@@ -33,7 +34,8 @@ def main() -> None:
     circuits = 0
     for gen in (gen_random_universal, gen_random_clifford_t):
         for seed in range(args.seeds):
-            enc = encode_circuit(lower(gen(args.qubits, args.gates, seed)))
+            circuit = parse_qasm(to_qasm(gen(args.qubits, args.gates, seed)))
+            enc = encode_circuit(lower(circuit))
             n = enc.num_qubits
             weights = sorted((lit, type(w).__name__, repr(w))
                              for lit, w in enc.cnf.weights.items())

@@ -16,7 +16,9 @@ the native ``rz``.
 
 from __future__ import annotations
 
+import ast
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 
@@ -207,74 +209,47 @@ _TOKEN_RE = re.compile(
 )
 
 
+_ARITHMETIC = {
+    ast.Add: operator.add, ast.Sub: operator.sub,
+    ast.Mult: operator.mul, ast.Div: operator.truediv,
+    ast.UAdd: operator.pos, ast.USub: operator.neg,
+}
+
+
 def _eval_angle(expr: str, line: int) -> float:
     """Evaluate an angle expression: numbers, pi, + - * /, parentheses."""
     tokens = _TOKEN_RE.findall(expr)
     # findall silently drops characters it cannot tokenize; reject those
-    stripped = re.sub(r"\s+", "", expr)
-    if "".join(tokens) != stripped:
+    if "".join(tokens) != re.sub(r"\s+", "", expr):
         raise QasmParseError(f"bad angle expression {expr!r}", line)
-    pos = 0
+    # each number becomes a name, so Python's literal rules (no 01) never
+    # apply; spaces keep "* *" from reading as "**"
+    values = {"pi": math.pi}
+    for i, tok in enumerate(tokens):
+        if tok[0] in "0123456789.":
+            tokens[i] = f"_{i}"
+            values[tokens[i]] = float(tok)
 
-    def peek():
-        return tokens[pos] if pos < len(tokens) else None
-
-    def take():
-        nonlocal pos
-        tok = tokens[pos]
-        pos += 1
-        return tok
-
-    def atom() -> float:
-        tok = peek()
-        if tok is None:
-            raise QasmParseError(f"bad angle expression {expr!r}", line)
-        if tok == "(":
-            take()
-            v = addsub()
-            if peek() != ")":
-                raise QasmParseError(f"unbalanced parens in {expr!r}", line)
-            take()
-            return v
-        if tok == "pi":
-            take()
-            return math.pi
-        if tok in "+-":
-            take()
-            return atom() if tok == "+" else -atom()
-        take()
-        try:
-            return float(tok)
-        except ValueError:
-            raise QasmParseError(f"bad number {tok!r} in angle", line) from None
-
-    def muldiv() -> float:
-        v = atom()
-        while peek() in ("*", "/"):
-            op = take()
-            rhs = atom()
-            if op == "*":
-                v *= rhs
-            else:
-                if rhs == 0:
-                    raise QasmParseError(f"division by zero in {expr!r}", line)
-                v /= rhs
-        return v
-
-    def addsub() -> float:
-        v = muldiv()
-        while peek() in ("+", "-"):
-            op = take()
-            v = v + muldiv() if op == "+" else v - muldiv()
-        return v
+    def value(node) -> float:
+        op = _ARITHMETIC.get(type(getattr(node, "op", None)))
+        if isinstance(node, ast.BinOp) and op is not None:
+            lhs, rhs = value(node.left), value(node.right)
+            if op is operator.truediv and rhs == 0:
+                raise QasmParseError(f"division by zero in {expr!r}", line)
+            return op(lhs, rhs)
+        if isinstance(node, ast.UnaryOp) and op is not None:
+            return op(value(node.operand))
+        if isinstance(node, ast.Name):  # the alphabet admits no other name
+            return values[node.id]
+        raise QasmParseError(f"bad angle expression {expr!r}", line)
 
     try:
-        value = addsub()
-    except RecursionError:
+        return value(ast.parse(" ".join(tokens), mode="eval").body)
+    except SyntaxError as exc:
+        raise QasmParseError(
+            f"bad angle expression {expr!r}: {exc.msg}", line) from None
+    except (RecursionError, MemoryError):
         raise QasmParseError("angle expression nested too deeply", line) from None
-    if pos != len(tokens):
-        raise QasmParseError(f"trailing tokens in angle {expr!r}", line)
-    return value
 
 
 _QREG_RE = re.compile(r"^qreg\s+([A-Za-z_]\w*)\s*\[\s*(\d+)\s*\]$")
@@ -299,31 +274,16 @@ def parse_qasm(text: str) -> Circuit:
     carry the offending line number.
     """
     # strip comments but keep newlines for line numbering
-    cleaned = []
-    for raw in text.split("\n"):
-        cut = raw.find("//")
-        cleaned.append(raw if cut < 0 else raw[:cut])
-    stream = "\n".join(cleaned)
-
     statements: list[tuple[int, str]] = []
     lineno = 1
-    buf: list[str] = []
-    buf_line = 1
-    buf_started = False  # first non-space char seen since the last ';'
-    for ch in stream:
-        if ch == "\n":
-            lineno += 1
-        if ch == ";":
-            statements.append((buf_line, "".join(buf).strip()))
-            buf = []
-            buf_started = False
-        else:
-            if not buf_started and not ch.isspace():
-                buf_line = lineno
-                buf_started = True
-            buf.append(ch)
-    if "".join(buf).strip():
-        raise QasmParseError("missing ';' at end of input", buf_line)
+    for chunk in re.sub(r"//[^\n]*", "", text).split(";"):
+        # a statement's line is that of its first non-space character
+        lead = len(chunk) - len(chunk.lstrip())
+        statements.append((lineno + chunk.count("\n", 0, lead), chunk.strip()))
+        lineno += chunk.count("\n")
+    line, tail = statements.pop()  # the text after the last ';'
+    if tail:
+        raise QasmParseError("missing ';' at end of input", line)
 
     reg_name: str | None = None
     num_qubits = 0
@@ -333,20 +293,17 @@ def parse_qasm(text: str) -> Circuit:
     for line, stmt in statements:
         if not stmt:
             continue
-        if stmt.startswith("OPENQASM"):
-            version = stmt.split(None, 1)[1] if len(stmt.split()) > 1 else ""
-            if version.strip() != "2.0":
+        head = re.match(r"\w*", stmt).group()
+        if head == "OPENQASM":
+            version = stmt[len(head):].strip()
+            if version != "2.0":
                 raise QasmParseError(f"unsupported OPENQASM version {version!r}", line)
             saw_version = True
             continue
-        if stmt.startswith("include"):
+        if head in ("include", "barrier"):
             continue
-        if stmt.startswith("barrier"):
-            continue
-        if "measure" in stmt.split() or stmt.startswith("measure"):
+        if head == "measure":
             raise MeasurementNotSupportedError("measurement is not supported", line)
-        head = stmt.split(None, 1)[0]
-        head = head.split("(")[0]
         if head in _REJECTED_STATEMENTS:
             raise QasmParseError(_REJECTED_STATEMENTS[head], line)
         m = _QREG_RE.match(stmt)

@@ -158,14 +158,23 @@ def load_cnf(path) -> WeightedCnf:
         return f
     try:
         payload = json.loads(side.read_text(encoding="ascii"))
+        if type(payload) is not dict:
+            raise ValueError(f"not a JSON object: {payload!r:.40}")
+        for key in ("mode", "weights"):
+            if key not in payload:
+                raise ValueError(f"missing key {key!r}")
         if payload["mode"] != EXACT:
             raise ValueError(f"mode is {payload['mode']!r}, not {EXACT!r}")
+        if type(payload["weights"]) is not dict:
+            raise ValueError(f"weights is not an object: {payload['weights']!r:.40}")
         exact_weights = {}
         for lit, abk in payload["weights"].items():
-            if len(abk) != 3 or any(type(v) is not int for v in abk):
-                raise ValueError(f"weight of {lit} is not three integers: {abk!r}")
+            if not lit.removeprefix("-").isdecimal():
+                raise ValueError(f"key {lit!r} is not a literal")
+            if type(abk) is not list or [type(v) for v in abk] != [int] * 3:
+                raise ValueError(f"weight of {lit} is not three integers: {abk!r:.40}")
             exact_weights[int(lit)] = ExactWeight(*abk)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise FormatError(f"bad weight sidecar {side.name}: {exc}") from exc
     for lit in f.weights:
         if lit not in exact_weights:

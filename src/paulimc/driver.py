@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass
 
 from .circuits import Circuit, adjoint, concat, lower
-from .counting import PreparedCnf, ResourceLimitError
+from .counting import DEFAULT_TIMEOUT, PreparedCnf, ResourceLimitError
 from .encoder import EncodedCircuit, PauliTerm, check_units, encode_circuit
 from .weights import ExactWeight, serialize_exact, value_is_one
 
@@ -44,7 +44,7 @@ class CheckConfig:
     """
 
     epsilon: float = DEFAULT_EPSILON
-    count_timeout: float = 300.0
+    count_timeout: float = DEFAULT_TIMEOUT
 
     def __post_init__(self) -> None:
         # written so that nan fails both: an epsilon of 1 or more passes a

@@ -1,8 +1,9 @@
 import math
+import operator
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, strategies as st
 
 from conftest import full_gateset_circuits
 from paulimc.circuits import (
@@ -174,6 +175,7 @@ def test_parse_angles_and_aliases():
     ("((pi))/2", math.pi / 2),
     ("pi*((1+1)*(2))", 4 * math.pi),
     ("-(((-(pi))))", math.pi),
+    pytest.param("(" * 199 + "pi" + ")" * 199, math.pi, id="199-parens"),
 ])
 def test_parse_angles_nested_at_any_depth(expr, value):
     c = parse_qasm(f"OPENQASM 2.0;\nqreg q[1];\nrz({expr}) q[0];\n")
@@ -215,6 +217,13 @@ def test_parse_statements_may_share_a_line():
         ("OPENQASM 2.0;\nqreg q[1];\nh q[0]", QasmParseError, "missing ';'"),
         ("OPENQASM 2.0;\nqreg q[1];\ncreg c[1];", QasmParseError, "classical"),
         ("OPENQASM 2.0;\nqreg q[1];\nfoo q[0];", UnsupportedGateError, "foo"),
+        # keywords match whole words: these are not skipped or measured
+        ("OPENQASM 2.0;\nqreg q[1];\nbarrierx q[0];", UnsupportedGateError,
+         "'barrierx'"),
+        ("OPENQASM 2.0;\nqreg q[1];\nincludeh q[0];", UnsupportedGateError,
+         "'includeh'"),
+        ("OPENQASM 2.0;\nqreg q[1];\nmeasurex q[0];", UnsupportedGateError,
+         "'measurex'"),
         (
             "OPENQASM 2.0;\nqreg q[1];\nmeasure q[0] -> c[0];",
             MeasurementNotSupportedError,
@@ -236,9 +245,75 @@ def test_parse_error_carries_line_number():
 
 
 def test_bad_angle_expressions():
-    for expr in ("pi/", "(pi", "pi pi", "1..2", "", "1e"):
+    for expr in ("pi/", "(pi", "pi pi", "1..2", "", "1e", "2**3", "2//3", "pi(1)"):
         with pytest.raises(QasmParseError):
             parse_qasm(f"OPENQASM 2.0;\nqreg q[1];\nrz({expr}) q[0];\n")
+    with pytest.raises(QasmParseError, match="nested too deeply"):
+        parse_qasm("OPENQASM 2.0;\nqreg q[1];\nrz(" + "-" * 5000 + "pi) q[0];\n")
+
+
+_BINARY = {"+": (1, operator.add), "-": (1, operator.sub),
+           "*": (2, operator.mul), "/": (2, operator.truediv)}
+
+
+def _angle_leaf():
+    number = st.from_regex(
+        r"0{0,2}([0-9]{1,3}(\.[0-9]{0,2})?|\.[0-9]{1,3})([eE][+-]?0?[0-9]{1,2})?",
+        fullmatch=True)
+    pi = st.just((["pi"], 3, math.pi))
+    return number.map(lambda tok: ([tok], 3, float(tok))) | pi
+
+
+def _angle_node(children):
+    """(tokens, precedence, value) with only the parentheses the grammar
+    needs, plus random ones; the value comes from the same left-to-right
+    float operations, and is None after a division by zero."""
+    def unary(sign, child):
+        tokens, prec, value = child
+        if prec < 3:
+            tokens = ["(", *tokens, ")"]
+        return [sign, *tokens], 3, value if value is None or sign == "+" else -value
+
+    def binary(op, left, right):
+        prec, fn = _BINARY[op]
+        (lt, lp, lv), (rt, rp, rv) = left, right
+        if lp < prec:
+            lt = ["(", *lt, ")"]
+        if rp <= prec:  # left-associative
+            rt = ["(", *rt, ")"]
+        ok = lv is not None and rv is not None and not (op == "/" and rv == 0)
+        return [*lt, op, *rt], prec, fn(lv, rv) if ok else None
+
+    return (
+        st.builds(lambda c: (["(", *c[0], ")"], 3, c[2]), children)
+        | st.builds(unary, st.sampled_from("+-"), children)
+        | st.builds(binary, st.sampled_from(sorted(_BINARY)), children, children)
+    )
+
+
+@st.composite
+def _angle_expressions(draw):
+    tokens, _, value = draw(st.recursive(_angle_leaf(), _angle_node, max_leaves=12))
+    seps = draw(st.lists(st.sampled_from(["", " ", "\n"]),
+                         min_size=len(tokens), max_size=len(tokens)))
+    return "".join(t + sep for t, sep in zip(tokens, seps)), value
+
+
+@given(_angle_expressions())
+@example(("pi / (1 - 1)", None))
+@example(("0 * -1", -0.0))
+@example(("01 +\npi/04", 1 + math.pi / 4))
+def test_angle_grammar_matches_left_associative_float_arithmetic(case):
+    expr, value = case
+    text = f"OPENQASM 2.0;\nqreg q[1];\nrz({expr}) q[0];\n"
+    if value is None:
+        with pytest.raises(QasmParseError, match="division by zero"):
+            parse_qasm(text)
+    elif not math.isfinite(value):
+        with pytest.raises(QasmParseError, match="finite"):
+            parse_qasm(text)
+    else:
+        assert parse_qasm(text).gates[0].angle.hex() == value.hex()
 
 
 @pytest.mark.parametrize("expr,value", [

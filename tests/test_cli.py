@@ -171,14 +171,17 @@ def test_check_missing_file(tmp_path, capsys):
 
 
 def test_check_qasm_parse_error_names_file_and_line(tmp_path, capsys):
-    bad = tmp_path / "bad.qasm"
-    bad.write_text(f"{HEADER}qreg q[1];\nbogus q[0];\n")
-    v = qasm_file(tmp_path, "v.qasm", 1)
-    assert main(["check", str(bad), v]) == 3
-    err = capsys.readouterr().err
-    assert "error: qasm-parse: " in err
-    assert "bad.qasm" in err
-    assert "line 4" in err
+    # a statement that only begins with a skipped keyword is not skipped
+    for stmt in ("bogus q[0];", "barrierx q[0];"):
+        bad = tmp_path / "bad.qasm"
+        bad.write_text(f"{HEADER}qreg q[1];\n{stmt}\n")
+        v = qasm_file(tmp_path, "v.qasm", 1)
+        assert main(["check", str(bad), v]) == 3
+        err = capsys.readouterr().err
+        assert "error: qasm-parse: " in err
+        assert "bad.qasm" in err
+        assert "line 4" in err
+        assert stmt.split()[0] in err
 
 
 # ------------------------------------------------------------------- count

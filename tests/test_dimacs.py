@@ -190,17 +190,32 @@ def test_saving_floats_removes_stale_sidecar(tmp_path):
 
 
 def test_load_rejects_bad_sidecar_json(tmp_path):
+    # each message says what is wrong, not which Python exception it hit
     p = save_cnf(WeightedCnf(num_vars=1, clauses=[]), tmp_path / "f.cnf")
-    sidecar_path(p).write_text("{not json")
-    with pytest.raises(FormatError, match="bad weight sidecar"):
-        load_cnf(p)
+    for text, reason in [
+        ("{not json", "Expecting property name enclosed in double quotes"),
+        ('{"mode": "exact"}', "missing key 'weights'"),
+        ('{"weights": {}}', "missing key 'mode'"),
+        ("[]", "not a JSON object: []"),
+        ('{"mode": "exact", "weights": {"x": [1, 0, 0]}}',
+         "key 'x' is not a literal"),
+        ('{"mode": "exact", "weights": {"1": 5}}',
+         "weight of 1 is not three integers: 5"),
+    ]:
+        sidecar_path(p).write_text(text)
+        with pytest.raises(FormatError) as err:
+            load_cnf(p)
+        assert str(err.value).startswith(f"bad weight sidecar f.weights.json: {reason}")
 
 
 def test_load_rejects_sidecar_weights_not_an_object(tmp_path):
     p = save_cnf(WeightedCnf(num_vars=1, clauses=[]), tmp_path / "f.cnf")
-    sidecar_path(p).write_text('{"mode": "exact", "weights": [1]}')
-    with pytest.raises(FormatError, match="bad weight sidecar"):
-        load_cnf(p)
+    for weights in ("[1]", "[]"):
+        sidecar_path(p).write_text(f'{{"mode": "exact", "weights": {weights}}}')
+        with pytest.raises(FormatError) as err:
+            load_cnf(p)
+        assert str(err.value) == (
+            f"bad weight sidecar f.weights.json: weights is not an object: {weights}")
 
 
 def test_load_rejects_sidecar_missing_a_weighted_literal(tmp_path):

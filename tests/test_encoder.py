@@ -358,8 +358,9 @@ def test_gate_clauses_are_one_template_renamed(kind, n, angle):
 
 
 def test_formula_hash_pins_every_kind():
-    # scripts/formula_hash.py over its default 800 seeded circuits: any
-    # change to a clause, weight, frame or check unit of any kind moves it
+    # scripts/formula_hash.py over its default 800 seeded circuits, each
+    # written as QASM and parsed back: any change to parsing, or to a
+    # clause, weight, frame or check unit of any kind, moves it
     repo = Path(__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
